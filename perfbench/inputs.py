@@ -259,6 +259,25 @@ def _episode_pool(base: List[NameTriple], size: int) -> List[Episode]:
     return pool
 
 
+def clone_episodes(base: List[NameTriple], size: int) -> List[Episode]:
+    """Dataset-independent episodes: retract 6 existing triples and
+    add a renamed copy of one subject's out-edges."""
+    rng = random.Random(EPISODE_POOL_SEED)
+    ordered = sorted(base, key=repr)
+    by_subject: Dict[object, List[NameTriple]] = {}
+    for triple in ordered:
+        by_subject.setdefault(triple[0], []).append(triple)
+    subjects = list(by_subject)
+    pool = []
+    for number in range(size):
+        clone = f"clone{number}"
+        added = [(clone, p, o) for _, p, o in by_subject[rng.choice(subjects)]]
+        pool.append(
+            Episode(retracted=tuple(rng.sample(ordered, 6)), added=tuple(added))
+        )
+    return pool
+
+
 def make_inputs(name: str, seed: int, tiny: bool = False) -> Inputs:
     spec = WORKLOADS[name]
     triples = _generate(spec, spec.tiny_scale if tiny else spec.scale)

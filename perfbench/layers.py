@@ -19,11 +19,16 @@ one backend):
    deltas of the incremental maintenance counters;
 3. a fixed number of traced passes through the decomposed path, whose
    answers are checked against the same reference answers as
-   ``Database.query``'s.
+   ``Database.query``'s;
+4. on a workload without writes, a write probe (``_write_probe``) that
+   builds the graph's snapshot, opens it for editing, applies a few
+   write episodes and compacts it, so the storage and overlay figures
+   are measured there too.
 
 Spans are kept in memory and written as JSONL when the run ends.  A
-per-layer figure is 0 on a workload whose path never runs that layer
-(no snapshot on lubm-read, no writes on the read workloads).
+per-layer count is 0 on a workload whose path never runs that layer
+(no promotions on lubm-read's memory backend, no demotions without a
+residency budget, no incremental maintenance without writes).
 """
 
 from __future__ import annotations
@@ -299,6 +304,9 @@ class LayerReport:
         rows = sum(r.rows for r in traced)
         before = sum(r.triples_before for r in pruned)
         overlay = self.overlay_ms
+        # The untraced loop's writes; on a read-only workload, the
+        # write probe's (see _write_probe).
+        writes = self.writes or overlay["add"] + overlay["retract"]
         snapshot = self.snapshot_bytes[0] if self.snapshot_bytes else 0
         ms, s, n = "ms", "s", "count"
         return {
@@ -348,11 +356,9 @@ class LayerReport:
             ),
             "overlay.add_ms": (_mean(overlay["add"]), ms),
             "overlay.retract_ms": (_mean(overlay["retract"]), ms),
-            "overlay.write_p50_ms": (
-                median(self.writes) if self.writes else 0.0, ms
-            ),
+            "overlay.write_p50_ms": (median(writes) if writes else 0.0, ms),
             "overlay.write_p95_ms": (
-                quantile(self.writes, 0.95) if self.writes else 0.0, ms
+                quantile(writes, 0.95) if writes else 0.0, ms
             ),
             "incremental.reuses": (inc["reuses"], n),
             "incremental.cascades": (inc["cascades"], n),
@@ -442,7 +448,8 @@ def _write(db, decomposed, log, checker, report, payload, trace_id, traced):
     except Exception:  # a failed operation is counted, the run goes on
         checker.fail(f"{op}: {traceback.format_exc(limit=3)}")
         return None
-    decomposed.invalidate()
+    if decomposed is not None:
+        decomposed.invalidate()
     (report.overlay_ms[op] if traced else report.writes).append(elapsed)
     return state_key(episode, batch + 1)
 
@@ -552,5 +559,46 @@ def run(inputs: Inputs, checker, seconds: float, workdir: Path, spans_path: Path
     report.resident_bytes = residency.resident_bytes if residency else 0
     report.run_counters = delta(at_start, counters())
     any_db.close()  # the sessions share one backend
+    del sessions, any_db, decomposed
+    if not editing:
+        _write_probe(inputs, log, checker, report, workdir, base_digest)
     log.write_jsonl(spans_path)
     return report
+
+
+#: Write episodes the probe of a read-only workload applies.
+PROBE_EPISODES = 4
+
+
+def _write_probe(inputs, log, checker, report, workdir, base_digest):
+    """Measure the storage and overlay layers on a read-only workload's
+    graph: build (or reuse) its snapshot, open it for editing, apply a
+    few write episodes, and compact it.  The episodes leave the graph
+    as they found it, so the compacted snapshot must hold the base
+    triples.  No read runs here; the figures only describe what
+    writing this graph would cost."""
+    from inputs import clone_episodes
+
+    gc.collect()
+    snapshot = workdir / "data.snap"
+    if not snapshot.exists():
+        with log.span("storage.write", 0):
+            started = time.perf_counter()
+            report.snapshot_bytes.append(
+                e2e.write_snapshot_file(inputs, snapshot)
+            )
+            report.setup["write_s"] = time.perf_counter() - started
+    from repro import Database
+
+    with log.span("storage.open", 0):
+        started = time.perf_counter()
+        db = Database.edit(snapshot, e2e.profile_for(inputs, inputs.spec.engines[0]))
+        opened_ms = (time.perf_counter() - started) * 1000.0
+    report.setup.setdefault("open_ms", opened_ms)
+    trace_ids = itertools.count(10**6)
+    for index, episode in enumerate(clone_episodes(inputs.triples, PROBE_EPISODES)):
+        for batch, (op, triples) in enumerate(episode.batches()):
+            _write(db, None, log, checker, report, (index, batch, op, triples),
+                   next(trace_ids), True)
+    _compact(db, log, checker, report, workdir, 1, next(trace_ids), base_digest)
+    db.close()
