@@ -3,11 +3,12 @@
 The PR-1 tentpole claim: on the Table 2 / Table 3 workloads the
 packed kernel's solver wall time beats the reference kernel by >= 3x
 on at least half the queries, with bit-identical fixpoints (recorded
-in ``BENCH_PR1.json``).  The PR-4 tentpole adds the batched engine,
-which must at least hold its own against packed overall and beat it
-on the geomean of the small B-queries (recorded in
-``BENCH_PR4.json``; regenerate with
-``python -m repro bench kernels --json BENCH_PR4.json``).
+in ``BENCH_PR1.json``).  The batched kernel must hold its own
+against packed overall.  On the CSR adjacency its serial solves run
+the packed per-inequality products (grouping them into one dispatch
+no longer paid), so the earlier claim that it beats packed on the
+B-query geomean was retired together with the serial grouped engine
+it measured.
 """
 
 import pathlib
@@ -46,10 +47,7 @@ def test_kernel_ablation(save_table):
     # machines doesn't flake the bench.
     assert summary["n_speedup_ge_3x"] >= summary["n_queries"] // 4
     assert summary["geomean_speedup"] >= 2.0
-    # PR-4 headline claim, with the same noise allowance: batched
-    # beats packed on the B-query geomean (measured ~1.4x) and does
-    # not lose ground overall.
+    # Batched runs the packed products serially: it must not lose
+    # ground to packed overall (same noise allowance).
     batched = summary["batched"]
-    assert batched["geomean_vs_packed_b_queries"] is not None
-    assert batched["geomean_vs_packed_b_queries"] >= 1.0
     assert batched["geomean_vs_packed"] >= 0.85

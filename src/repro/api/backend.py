@@ -126,14 +126,14 @@ class GraphBackend(Protocol):
 
     def set_residency_budget(self, budget: Optional[int]) -> None:
         """Arm (or disarm, with ``None``) the hard ceiling on resident
-        packed bytes, so promotions during the next operation respect
-        it.  A no-op for backends without a residency notion."""
+        adjacency bytes, so promotions during the next operation
+        respect it.  A no-op for backends without a residency notion."""
         ...
 
     def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        """Demote least-recently-touched labels until resident packed
-        bytes fit the budget; returns how many labels were demoted
-        (0 for backends without a residency notion).
+        """Demote least-recently-touched labels until resident
+        adjacency bytes fit the budget; returns how many labels were
+        demoted (0 for backends without a residency notion).
 
         ``budget=None`` means "keep whatever ceiling is currently
         armed" (via :meth:`set_residency_budget`), NOT "unbounded":
@@ -216,11 +216,19 @@ class InMemoryBackend:
         return 0  # nothing demotable
 
     def stats(self) -> Dict[str, object]:
+        # Graph-likes other than Graph (a TieredGraphView, say) have
+        # no ``adjacency_bytes``; they report 0.
+        adjacency_bytes = getattr(self._graph, "adjacency_bytes", None)
         return {
             "kind": self.kind,
             "n_triples": self.n_triples,
             "n_nodes": self.n_nodes,
             "n_labels": len(self.labels),
+            # CSR bytes of the built label matrices (0 until the
+            # session's first query builds them).
+            "adjacency_bytes": (
+                adjacency_bytes() if adjacency_bytes is not None else 0
+            ),
         }
 
     def close(self) -> None:  # nothing to release
@@ -264,12 +272,6 @@ class SnapshotBackend:
     def graph(self) -> TieredGraphView:
         return self._view
 
-    def batched_blocks(self):
-        """The tiered view's concatenated multi-label block set
-        (``batched`` kernel); promoted labels append without
-        re-stacking resident ones."""
-        return self._view.batched_blocks()
-
     def triple_store(self) -> TripleStore:
         if self._store is None:
             from repro.store.lazy import LazySnapshotStore
@@ -301,8 +303,8 @@ class SnapshotBackend:
         self._view.residency_budget = budget
 
     def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        """LRU-demote down to the budget and compact the batched
-        block; returns how many labels were demoted."""
+        """LRU-demote down to the budget; returns how many labels
+        were demoted."""
         return self._view.enforce_budget(budget)
 
     def stats(self) -> Dict[str, object]:
@@ -324,14 +326,6 @@ class SnapshotBackend:
             "resident_labels": residency.resident_labels,
             "resident_bytes": residency.resident_bytes,
             "on_disk_bytes": residency.on_disk_bytes,
-            "batched_entries": (
-                0 if self._view._batched is None
-                else self._view._batched.n_entries
-            ),
-            "batched_bytes": (
-                0 if self._view._batched is None
-                else self._view._batched.nbytes
-            ),
         }
 
     def close(self) -> None:

@@ -1,21 +1,18 @@
 """Execution configuration for a :class:`~repro.api.database.Database`.
 
 Before the façade, running a query meant scattering configuration
-across an environment variable (``REPRO_KERNEL``), a positional
-engine-profile string, ``SolverOptions`` kwargs, and the choice of
-constructor (pruned pipeline vs bare engine).  :class:`ExecutionProfile`
-collects all of it in one immutable value object that travels with the
-session.
+across a positional engine-profile string, ``SolverOptions`` kwargs,
+and the choice of constructor (pruned pipeline vs bare engine).
+:class:`ExecutionProfile` collects all of it in one immutable value
+object that travels with the session.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from repro._deprecation import deprecated_call
 from repro.bitvec.kernel import KERNELS, active_kernel, use_kernel
 from repro.core.checkpoint import ExecutionLimits
 from repro.core.parallel import WORKER_MODES
@@ -44,16 +41,14 @@ class ExecutionProfile:
       simulation first: ``"pruned"`` always, ``"full"`` never,
       ``"auto"`` per query on the statistics advisor's verdict
       (the paper's Sect. 5.3 guideline);
-    * ``kernel`` — bit-matrix product kernel: ``packed`` (per-matrix
-      vectorized products), ``batched`` (whole solver rounds as one
-      gather+reduce over the multi-label
-      :class:`~repro.bitvec.kernel.BatchedBlockSet`), or
-      ``reference`` (the seed per-row loops, kept for ablation);
-      ``None`` defers to the process default, which still honors the
-      deprecated ``REPRO_KERNEL`` variable;
+    * ``kernel`` — bit-matrix product kernel over the CSR adjacency:
+      ``packed`` (one vectorized product per inequality), ``batched``
+      (the packed products, plus parallel flushes when ``workers`` is
+      above 1), or ``reference`` (the seed per-row loops, kept for
+      ablation); ``None`` defers to the process default;
     * ``solver`` — SOI fixpoint strategy knobs (Sect. 3.3);
     * ``residency_budget`` — hard ceiling, in bytes, on resident
-      packed blocks for snapshot-backed sessions.  Enforced by an LRU
+      CSR adjacency for snapshot-backed sessions.  Enforced by an LRU
       demotion pass over materialized labels: after every query (and
       on every mid-solve promotion) the least-recently-touched labels
       drop back to their on-disk rows until the ceiling holds, with
@@ -90,7 +85,7 @@ class ExecutionProfile:
       this fraction of the query's inequalities.
     * ``workers`` — parallel evaluation width for the batched kernel's
       flush computes (:mod:`repro.core.parallel`).  ``None`` or ``1``
-      runs serial (the exact pre-parallel code path); higher values
+      runs serial (the per-inequality products); higher values
       are a pure throughput knob — answers, trajectory, and work
       counters stay bit-identical, so continuations taken under one
       worker count resume under any other.
@@ -226,29 +221,16 @@ class ExecutionProfile:
         """The kernel queries will actually run on.
 
         Explicit ``kernel`` wins; otherwise the process-active kernel.
-        The deprecated ``REPRO_KERNEL`` variable already shaped the
-        process default at import time (that is the fallback), so here
-        it only triggers the one-time :class:`DeprecationWarning` —
-        it must not override a later, explicit
-        :func:`~repro.bitvec.kernel.set_kernel` call.
         """
         if self.kernel is not None:
             return self.kernel
-        if os.environ.get("REPRO_KERNEL"):
-            deprecated_call(
-                "env:REPRO_KERNEL",
-                "the REPRO_KERNEL environment variable is deprecated; "
-                "pass ExecutionProfile(kernel=...) or the --kernel CLI "
-                "flag instead",
-            )
         return active_kernel()
 
     @contextlib.contextmanager
     def kernel_context(self) -> Iterator[str]:
         """Activate this profile's kernel for the duration of a query.
 
-        When no kernel is pinned and the deprecated environment
-        variable is unset, the process-level selection (set via
+        When no kernel is pinned, the process-level selection (set via
         :func:`repro.bitvec.kernel.set_kernel`/``use_kernel``) is left
         untouched.
         """

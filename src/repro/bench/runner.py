@@ -269,9 +269,8 @@ def run_kernel_bench(
     on LUBM) are run on every kernel (packed, batched, and the
     reference loops — or the subset in ``kernels``); per kernel the
     solver runs once for warm-up (the paper's tool holds the matrices
-    in memory, so packing, block stacking, and cache warming are not
-    part of a solve) and then ``repeats`` timed runs, reporting the
-    best.
+    in memory, so matrix builds and cache warming are not part of a
+    solve) and then ``repeats`` timed runs, reporting the best.
 
     ``workers=N`` (N > 1) additionally times each *batched*-kernel
     solve under N thread workers (``SolverOptions.workers``) so the
@@ -293,17 +292,17 @@ def run_kernel_bench(
             lubm_universities=lubm_universities,
             dbpedia_scale=dbpedia_scale,
         )
-        db.matrices()  # build + pack up front
+        db.matrices()  # build the CSR matrices up front
         prepared.append(
             (name, db, pattern_to_graph(mandatory_core_bgp(get_query(name))))
         )
 
     # One kernel group at a time, so a kernel is never timed against
-    # another kernel's resident working set (the batched kernel's
-    # block set would otherwise sit in cache while packed is
+    # another kernel's resident working set (the reference kernel's
+    # per-row bitsets would otherwise sit in cache while packed is
     # measured).  Within a group, the warm-up pass runs each query
-    # once (the paper's tool holds everything in memory, so packing,
-    # block stacking, and cache warming are not part of a solve) and
+    # once (the paper's tool holds everything in memory, so matrix
+    # builds and cache warming are not part of a solve) and
     # sizes the timing batch — sub-millisecond solves are timed in
     # ~10 ms batches so timer granularity and allocator jitter
     # average out.  The timing passes are *interleaved across

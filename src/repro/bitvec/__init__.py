@@ -4,24 +4,19 @@ Public surface:
 
 * :class:`Bitset` — fixed-width mutable bitsets over uint64 words,
   with cached popcounts.
-* :class:`AdjacencyMatrix` — one direction of a label's adjacency;
-  non-empty rows packed into one contiguous ``(n_rows, n_words)``
-  ``uint64`` block for vectorized products.
+* :class:`AdjacencyMatrix` — one direction of a label's adjacency in
+  CSR form (``indptr`` over the node ids, ``int32`` column
+  ``indices``), with vectorized row- and column-wise products.
 * :class:`LabelMatrixPair` — forward+backward matrices of one label.
 * :func:`build_label_matrices` — construct all label matrices at once.
-* :class:`BatchedBlockSet` — all matrices' packed rows concatenated
-  into one block with per-label offsets (the ``batched`` kernel's
-  whole-round product substrate).
 * :func:`active_kernel` / :func:`set_kernel` / :func:`use_kernel` —
   the ``packed`` vs ``batched`` vs ``reference`` product-kernel
-  switch (also settable via the ``REPRO_KERNEL`` environment
-  variable).
+  switch.
 """
 
 from repro.bitvec.bitset import Bitset
 from repro.bitvec.kernel import (
     BATCHED,
-    BatchedBlockSet,
     KERNELS,
     PACKED,
     REFERENCE,
@@ -40,7 +35,6 @@ __all__ = [
     "AdjacencyMatrix",
     "LabelMatrixPair",
     "build_label_matrices",
-    "BatchedBlockSet",
     "KERNELS",
     "PACKED",
     "BATCHED",

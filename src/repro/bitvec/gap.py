@@ -9,18 +9,20 @@ bits".  This module provides that storage layer:
   lengths of zeros and ones (starting with a zero-run), as a NumPy
   ``uint32`` array;
 * :class:`GapEncodedMatrix` — an adjacency matrix whose rows are kept
-  gap-encoded and materialized to :class:`Bitset` on access (with a
-  small LRU of hot rows);
+  gap-encoded as three flat arrays (the on-disk payload), single rows
+  materialized to :class:`Bitset` on access (with a small LRU of hot
+  rows);
 * :func:`memory_report` — estimated bytes of the dense-word vs.
   gap-encoded representations of a graph's label matrices, the
   quantity behind the paper's 35 GB / 23 GB discussion.
 
-Gap encoding is the cold-storage format; the solver's hot path runs
-on the packed row blocks of :class:`~repro.bitvec.matrix.AdjacencyMatrix`
-(see :mod:`repro.bitvec.kernel`).  The import path between the two is
-:meth:`GapEncodedMatrix.from_adjacency` (compress a built matrix) and
-:meth:`GapEncodedMatrix.to_adjacency` (decompress all rows and pack
-them into one contiguous block, ready for the vectorized products).
+Gap encoding is the cold-storage format; the solver runs on the CSR
+arrays of :class:`~repro.bitvec.matrix.AdjacencyMatrix`.  The import
+path between the two is vectorized over all rows in both directions:
+:meth:`GapEncodedMatrix.from_adjacency` (compress a built matrix, the
+snapshot writer's gap payload) and :meth:`GapEncodedMatrix.to_adjacency`
+(decode every row's one-runs straight into CSR column ids, the
+promotion of a cold label).
 """
 
 from __future__ import annotations
@@ -99,14 +101,28 @@ def dense_bytes(nbits: int) -> int:
 class GapEncodedMatrix:
     """An adjacency matrix stored with gap-encoded rows.
 
-    Functionally equivalent to the row dict of
-    :class:`~repro.bitvec.matrix.AdjacencyMatrix`; rows decompress on
-    access through a bounded LRU cache.
+    Three flat arrays, exactly the on-disk gap payload: ``nodes`` (the
+    ascending ids of the non-empty rows), ``offsets`` (``len(nodes) +
+    1`` positions into ``runs``) and ``runs`` (every row's run lengths,
+    concatenated).  Single rows decompress on access through a bounded
+    LRU cache; :meth:`to_adjacency` decodes all rows at once, straight
+    into CSR.
     """
 
-    def __init__(self, n: int, cache_rows: int = 64):
+    def __init__(
+        self,
+        n: int,
+        nodes: np.ndarray | None = None,
+        offsets: np.ndarray | None = None,
+        runs: np.ndarray | None = None,
+        cache_rows: int = 64,
+    ):
         self.n = n
-        self._rows: Dict[int, np.ndarray] = {}
+        self.nodes = nodes if nodes is not None else np.empty(0, np.int64)
+        self.offsets = (
+            offsets if offsets is not None else np.zeros(1, np.uint64)
+        )
+        self.runs = runs if runs is not None else np.empty(0, _RUN_DTYPE)
         self._cache: "OrderedDict[int, Bitset]" = OrderedDict()
         self._cache_rows = cache_rows
 
@@ -114,60 +130,135 @@ class GapEncodedMatrix:
     def from_rows(
         cls, n: int, rows: Dict[int, Bitset], cache_rows: int = 64
     ) -> "GapEncodedMatrix":
-        matrix = cls(n, cache_rows)
-        for index, row in rows.items():
-            matrix._rows[index] = encode(row)
-        return matrix
+        order = sorted(rows)
+        encoded = [encode(rows[index]) for index in order]
+        offsets = np.zeros(len(order) + 1, dtype=np.uint64)
+        np.cumsum([r.size for r in encoded], out=offsets[1:])
+        runs = (
+            np.concatenate(encoded) if encoded
+            else np.empty(0, dtype=_RUN_DTYPE)
+        )
+        return cls(n, np.array(order, dtype=np.int64), offsets, runs,
+                   cache_rows)
 
     @classmethod
     def from_adjacency(
         cls, adjacency, cache_rows: int = 64
     ) -> "GapEncodedMatrix":
-        """Compress a built :class:`~repro.bitvec.matrix.AdjacencyMatrix`."""
-        return cls.from_rows(adjacency.n, adjacency.rows, cache_rows)
+        """Compress a built :class:`~repro.bitvec.matrix.AdjacencyMatrix`.
+
+        Vectorized over all rows: every maximal run of consecutive
+        columns in a row becomes a (zero-run, one-run) pair, and a row
+        not ending in a one-run gets a trailing zero-run — the runs
+        :func:`encode` produces row by row.
+        """
+        n = adjacency.n
+        rows, cols = adjacency.edges()
+        cols = cols.astype(np.int64)
+        if cols.size == 0:
+            return cls(n, cache_rows=cache_rows)
+        brk = np.ones(cols.size, dtype=bool)
+        brk[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
+        group_at = np.flatnonzero(brk)
+        group_row = rows[group_at]
+        group_col = cols[group_at]
+        group_len = np.diff(np.append(group_at, cols.size))
+        group_end = group_col + group_len
+        first = np.ones(group_at.size, dtype=bool)
+        first[1:] = group_row[1:] != group_row[:-1]
+        previous_end = np.zeros(group_at.size, dtype=np.int64)
+        previous_end[1:] = group_end[:-1]
+        previous_end[first] = 0
+        last = np.ones(group_at.size, dtype=bool)
+        last[:-1] = first[1:]
+        tails = n - group_end[last]
+        has_tail = tails > 0
+        row_first_group = np.flatnonzero(first)
+        groups_per_row = np.diff(np.append(row_first_group, group_at.size))
+        offsets = np.zeros(row_first_group.size + 1, dtype=np.uint64)
+        np.cumsum(2 * groups_per_row + has_tail, out=offsets[1:])
+        starts = offsets.astype(np.int64)
+        position = (
+            np.repeat(starts[:-1], groups_per_row)
+            + 2 * (np.arange(group_at.size)
+                   - np.repeat(row_first_group, groups_per_row))
+        )
+        runs = np.empty(int(starts[-1]), dtype=_RUN_DTYPE)
+        runs[position] = group_col - previous_end
+        runs[position + 1] = group_len
+        runs[starts[1:][has_tail] - 1] = tails[has_tail]
+        return cls(n, group_row[first], offsets, runs, cache_rows)
 
     def to_adjacency(self):
-        """Decompress into a packed :class:`AdjacencyMatrix`.
+        """Decompress every row at once into a CSR
+        :class:`~repro.bitvec.matrix.AdjacencyMatrix`.
 
         The import path from cold gap-encoded storage to the hot
-        kernel: every row is decoded once and the result is packed
-        into the contiguous row block the vectorized products run on.
+        kernel: run ends come from one cumulative sum over all runs,
+        the one-runs (odd positions within a row) expand into column
+        ids — no per-row loop, no dense row.  Raises ``ValueError``
+        when a row's runs do not sum to ``n``, as :func:`decode` does.
         """
         from repro.bitvec.matrix import AdjacencyMatrix
 
-        out = AdjacencyMatrix(self.n)
-        for index in sorted(self._rows):
-            row = decode(self._rows[index], self.n)
-            if row.is_empty():
-                continue  # keep the summary == non-empty-rows invariant
-            out.rows[index] = row
-            out.summary.add(index)
-            out.n_edges += row.count()
-        out.pack()
-        return out
+        n = self.n
+        offsets = self.offsets.astype(np.int64)
+        counts = np.diff(offsets)
+        if self.runs.size == 0:
+            return AdjacencyMatrix(n)
+        runs = self.runs.astype(np.int64)
+        row_of_run = np.repeat(np.arange(self.nodes.size), counts)
+        ends = np.cumsum(runs)
+        base = np.concatenate(([0], ends))[offsets[:-1]]
+        ends -= base[row_of_run]
+        totals = ends[offsets[1:][counts > 0] - 1]
+        if totals.size and (totals != n).any():
+            bad = int(totals[totals != n][0])
+            raise ValueError(f"run lengths sum to {bad}, expected {n}")
+        ones = (
+            ((np.arange(runs.size) - offsets[:-1][row_of_run]) & 1) == 1
+        ) & (runs > 0)
+        lengths = runs[ones]
+        if lengths.size == 0:
+            return AdjacencyMatrix(n)
+        owners = np.repeat(self.nodes[row_of_run[ones]], lengths)
+        starts = ends[ones] - lengths
+        cols = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths
+        )
+        return AdjacencyMatrix.from_edges(n, owners, cols)
+
+    def _position(self, index: int) -> int:
+        at = int(np.searchsorted(self.nodes, index))
+        if at < self.nodes.size and int(self.nodes[at]) == index:
+            return at
+        return -1
 
     def __contains__(self, index: int) -> bool:
-        return index in self._rows
+        return self._position(index) >= 0
 
     def row(self, index: int) -> Bitset | None:
-        packed = self._rows.get(index)
-        if packed is None:
-            return None
         cached = self._cache.get(index)
         if cached is not None:
             self._cache.move_to_end(index)
             return cached
-        decoded = decode(packed, self.n)
+        at = self._position(index)
+        if at < 0:
+            return None
+        decoded = decode(
+            self.runs[int(self.offsets[at]):int(self.offsets[at + 1])],
+            self.n,
+        )
         self._cache[index] = decoded
         if len(self._cache) > self._cache_rows:
             self._cache.popitem(last=False)
         return decoded
 
     def stored_bytes(self) -> int:
-        return sum(encoded_bytes(r) for r in self._rows.values())
+        return int(self.runs.nbytes)
 
     def dense_equivalent_bytes(self) -> int:
-        return len(self._rows) * dense_bytes(self.n)
+        return int(self.nodes.size) * dense_bytes(self.n)
 
 
 @dataclass
@@ -193,9 +284,9 @@ def memory_report(graph: Graph) -> Dict[str, LabelMemory]:
         dense = 0
         encoded_total = 0
         for side in (pair.forward, pair.backward):
-            for row in side.rows.values():
-                dense += dense_bytes(graph.n_nodes)
-                encoded_total += encoded_bytes(encode(row))
+            encoded = GapEncodedMatrix.from_adjacency(side)
+            dense += encoded.dense_equivalent_bytes()
+            encoded_total += encoded.stored_bytes()
         report[str(label)] = LabelMemory(
             label=str(label),
             n_edges=pair.n_edges,

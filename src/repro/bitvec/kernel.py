@@ -1,76 +1,50 @@
 """Kernel selection for the bit-matrix products (ablation switch).
 
-Three implementations of the Eq. (9) bit-vector x bit-matrix products
-coexist:
+Every :class:`~repro.bitvec.matrix.AdjacencyMatrix` stores its rows
+in one CSR layout (int32 ``indices`` plus an ``indptr`` over the node
+ids).  Three implementations of the Eq. (9) bit-vector x bit-matrix
+products run on it:
 
-* ``"packed"`` (default) — every :class:`~repro.bitvec.matrix.AdjacencyMatrix`
-  lays its non-empty rows out as one contiguous ``(n_rows, n_words)``
-  ``uint64`` array; products are single NumPy reductions over the
-  selected row block (``np.bitwise_or.reduce`` row-wise, a masked
-  any-intersection test column-wise) — one kernel call per
-  (label, direction) inequality.
-* ``"batched"`` — the packed layout taken one level up: every
-  (label, direction) matrix contributes its packed rows to one
-  concatenated :class:`BatchedBlockSet` block with per-label offsets,
-  and the SOI solver evaluates *a whole round of inequalities* as one
-  gather plus one segmented reduce (see :mod:`repro.core.batched`),
-  amortizing the per-call NumPy dispatch overhead that dominates
-  small queries.  Individual products (pruning, reconstruction, the
-  dynamic ordering) fall back to the packed implementation.
-* ``"reference"`` — the seed implementation: one Python-level
-  :class:`~repro.bitvec.bitset.Bitset` per row, products as Python
-  loops.  Kept verbatim so ablation benches can quantify the
-  vectorized kernels' win and property tests can assert bit-identical
-  results.
+* ``"packed"`` (default) — one vectorized product per (label,
+  direction) inequality: a row-wise product gathers the neighbour
+  ranges of the source vector's set bits and scatters them into a
+  bitset; a column-wise product gathers the dual neighbours of the
+  mask's bits and keeps the candidates whose gathered neighbours hit
+  the source vector.  (The name dates from the dense packed-row
+  layout this kernel used to run on; it is kept because profiles,
+  continuation tokens, the CLI, and the recorded benches are keyed
+  by it.)
+* ``"batched"`` — the packed products, plus the solver's parallel
+  mode: with ``workers > 1`` the solver defers hazard-free runs of
+  inequalities and computes each run's products side by side (see
+  :mod:`repro.core.batched` and :mod:`repro.core.parallel`).  Serial
+  solves run exactly the packed kernel's per-inequality products;
+  the name stays for the same keying reasons as ``packed``.
+* ``"reference"`` — the seed implementation: Python loops over one
+  :class:`~repro.bitvec.bitset.Bitset` per row.  The row dict is
+  built from the CSR arrays on a matrix's first reference product and
+  cached; the default kernels never build it.  Kept verbatim so
+  ablation benches can quantify the vectorized kernels' win, the
+  kernel gate can normalize machine drift, and property tests can
+  assert bit-identical results.
 
-The active kernel is read from the ``REPRO_KERNEL`` environment
-variable at import time (unset means packed; any other value must
-name a known kernel — typos raise, so an ablation never silently
-measures the wrong implementation).  The variable is deprecated in
-favour of ``repro.ExecutionProfile(kernel=...)`` / the ``--kernel``
-CLI flag and warns once when set.  The kernel can be changed at
-runtime with
-:func:`set_kernel` or the :func:`use_kernel` context manager.  The
-switch is consulted on every product call, so matrices built under
-one kernel answer correctly under the other — the packed layout is an
-*additional* index, not a replacement for the row dict.
+The kernel is chosen per session with ``repro.ExecutionProfile(kernel=...)``
+or the ``--kernel`` CLI flag, and at runtime with :func:`set_kernel`
+or the :func:`use_kernel` context manager.  The switch is consulted
+on every product call, so any matrix answers under any kernel.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-from typing import Dict, Iterator, Tuple
-
-import numpy as np
+from typing import Iterator
 
 PACKED = "packed"
 BATCHED = "batched"
 REFERENCE = "reference"
 KERNELS = (PACKED, BATCHED, REFERENCE)
 
-
-def _kernel_from_env() -> str:
-    value = os.environ.get("REPRO_KERNEL")
-    if value is None or value == "":
-        return PACKED
-    if value not in KERNELS:
-        raise ValueError(
-            f"REPRO_KERNEL={value!r} is not a known kernel; "
-            f"choose from {KERNELS}"
-        )
-    from repro._deprecation import deprecated_call
-
-    deprecated_call(
-        "env:REPRO_KERNEL",
-        "the REPRO_KERNEL environment variable is deprecated; pass "
-        "ExecutionProfile(kernel=...) or the --kernel CLI flag "
-        "instead",
-    )
-    return value
-
-
-_active = _kernel_from_env()
+_active = PACKED
 
 
 def active_kernel() -> str:
@@ -96,178 +70,3 @@ def use_kernel(name: str) -> Iterator[str]:
         yield name
     finally:
         set_kernel(previous)
-
-
-class BatchEntry:
-    """Where one (label, orientation) matrix lives inside the batch.
-
-    ``offset`` is the matrix's first row in the concatenated block;
-    ``row_index`` is *shared* with the source
-    :class:`~repro.bitvec.matrix.AdjacencyMatrix` (node -> local
-    packed row, ``-1`` for all-zero rows), so positions into the
-    batch are ``row_index[nodes] + offset`` after filtering the
-    ``-1`` sentinels.
-    """
-
-    __slots__ = ("offset", "n_rows", "row_index", "packed")
-
-    def __init__(self, offset: int, row_index: np.ndarray,
-                 packed: np.ndarray):
-        self.offset = offset
-        self.n_rows = packed.shape[0]
-        self.row_index = row_index
-        self.packed = packed  # identity anchor for staleness checks
-
-
-class BatchedBlockSet:
-    """All matrices' packed rows concatenated into one ``uint64`` block.
-
-    The ``"batched"`` kernel's central data structure: instead of one
-    ``(n_rows, n_words)`` block per (label, direction) matrix, every
-    matrix's rows are appended into a single shared
-    ``(total_rows, n_words)`` array, keyed by ``(label, orientation)``
-    with per-entry row offsets (the ragged-row-count layout).  A whole
-    round of Eq.-(9) products then needs just one fancy-index gather
-    into this block plus one segmented reduce, regardless of how many
-    labels the round touches.
-
-    Entries are added lazily through :meth:`entry` — the first solver
-    round that touches a label appends its rows, so a
-    :class:`~repro.storage.tiered.TieredGraphView` promotion slots its
-    label into the batch *without re-stacking* the labels already
-    present (appends grow the block geometrically, amortized O(1) per
-    row).  An entry whose source matrix was re-packed (edge added
-    after packing) is detected by identity on the packed array and
-    appended afresh; the stale region is left behind as slack.
-
-    Stale slack is reclaimed through :meth:`invalidate` (drop one
-    label's entries when the tiered store demotes it) followed by
-    :meth:`compact` (rewrite the block with only live entries'
-    segments).  Compaction moves rows, so callers must only compact
-    at batch boundaries — never while gathered positions into the
-    block are pending (the demotion pass compacts between queries,
-    after every in-flight batch has flushed).
-    """
-
-    __slots__ = (
-        "nbits", "n_words", "_block", "_used", "_entries", "_stale_rows",
-    )
-
-    def __init__(self, nbits: int):
-        self.nbits = nbits
-        # Matches bitset._word_count without importing it (kernel.py
-        # must stay import-light: bitset/matrix import it back).
-        self.n_words = (nbits + 63) // 64
-        self._block = np.empty((0, self.n_words), dtype=np.uint64)
-        self._used = 0
-        self._entries: Dict[Tuple[str, str], BatchEntry] = {}
-        self._stale_rows = 0
-
-    @property
-    def block(self) -> np.ndarray:
-        """The concatenated row block (re-read after ``entry`` calls:
-        appends may have grown it into a new allocation)."""
-        return self._block
-
-    @property
-    def n_rows(self) -> int:
-        """Rows currently occupied (including stale slack)."""
-        return self._used
-
-    @property
-    def n_entries(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the concatenated block (capacity included)."""
-        return self._block.nbytes
-
-    @property
-    def stale_rows(self) -> int:
-        """Rows occupied by invalidated or superseded entries."""
-        return self._stale_rows
-
-    def _reserve(self, extra: int) -> None:
-        need = self._used + extra
-        capacity = self._block.shape[0]
-        if need <= capacity:
-            return
-        grown = np.empty(
-            (max(need, 2 * capacity, 256), self.n_words), dtype=np.uint64
-        )
-        grown[: self._used] = self._block[: self._used]
-        self._block = grown
-
-    def entry(self, label: str, orientation: str, matrix) -> BatchEntry:
-        """The batch entry of ``matrix``, appending it on first touch.
-
-        ``matrix`` is the :class:`AdjacencyMatrix` stored under
-        ``(label, orientation)`` — packing it here is idempotent.  A
-        matrix whose packed block changed since it was appended (or a
-        brand-new matrix under a known key) replaces its entry.
-        """
-        key = (label, orientation)
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry.packed is matrix._packed:
-                return entry
-            self._stale_rows += entry.n_rows
-        matrix.pack()
-        packed = matrix._packed
-        self._reserve(packed.shape[0])
-        offset = self._used
-        self._block[offset : offset + packed.shape[0]] = packed
-        self._used = offset + packed.shape[0]
-        entry = BatchEntry(offset, matrix._row_index, packed)
-        self._entries[key] = entry
-        return entry
-
-    def invalidate(self, label: str) -> int:
-        """Drop a label's entries (both orientations); returns how many
-        were present.
-
-        The segments' rows stay in the block as stale slack, so
-        positions already gathered from them remain valid until the
-        next :meth:`compact` — demoting a label mid-solve is safe.
-        Re-promoting the label later simply appends a fresh entry.
-        """
-        dropped = 0
-        for orientation in ("forward", "backward"):
-            entry = self._entries.pop((label, orientation), None)
-            if entry is not None:
-                self._stale_rows += entry.n_rows
-                dropped += 1
-        return dropped
-
-    def compact(self) -> int:
-        """Rewrite the block keeping only live entries; returns the
-        bytes freed.
-
-        Row offsets change, so this must only run when no gathered
-        positions into the block are outstanding (between batches /
-        queries).
-        """
-        before = self._block.nbytes
-        live = sum(entry.n_rows for entry in self._entries.values())
-        packed = np.empty((live, self.n_words), dtype=np.uint64)
-        offset = 0
-        for entry in self._entries.values():
-            packed[offset:offset + entry.n_rows] = self._block[
-                entry.offset:entry.offset + entry.n_rows
-            ]
-            entry.offset = offset
-            offset += entry.n_rows
-        self._block = packed
-        self._used = live
-        self._stale_rows = 0
-        return before - packed.nbytes
-
-    def __contains__(self, key: Tuple[str, str]) -> bool:
-        return key in self._entries
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchedBlockSet(nbits={self.nbits}, "
-            f"entries={len(self._entries)}, rows={self._used})"
-        )

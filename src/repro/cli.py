@@ -77,8 +77,7 @@ def _add_execution_flags(
                         help="join-engine profile")
     parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="bit-matrix product kernel (default: "
-                             "process default; REPRO_KERNEL env var "
-                             "is deprecated)")
+                             "process default, packed)")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel evaluation width for the "
                              "batched kernel (1 = serial; answers are "
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     dbq.add_argument("--budget", type=int, default=None,
                      help="hard residency budget in bytes: after the "
                           "query, least-recently-touched labels are "
-                          "demoted back to disk until resident packed "
+                          "demoted back to disk until resident CSR "
                           "bytes fit")
     dbq.add_argument("--stats-json", action="store_true",
                      help="after the query, print the full session "
@@ -610,12 +609,12 @@ def cmd_db(args, out) -> int:
                 # label (a budget below it still works — the LRU pass
                 # demotes down to zero resident at query boundaries —
                 # but every query re-materializes that label).
-                full = sum(i.dense_bytes for i in info.labels)
-                largest = max(info.labels, key=lambda i: i.dense_bytes)
+                full = sum(i.resident_bytes for i in info.labels)
+                largest = max(info.labels, key=lambda i: i.resident_bytes)
                 print(
                     f"residency budget guide: ~{full} B fully "
                     f"promoted; largest label {largest.label!r} "
-                    f"~{largest.dense_bytes} B",
+                    f"~{largest.resident_bytes} B",
                     file=out,
                 )
             print(

@@ -1,32 +1,31 @@
-"""Batched round evaluation for the SOI solver (the ``batched`` kernel).
+"""Batched round evaluation: the engine behind parallel solves.
 
-The packed kernel already turned each Eq.-(9) product into a handful
-of NumPy calls, but the solver still dispatched them one inequality at
-a time — for the small B-queries a round of a dozen inequalities costs
-a dozen gathers, a dozen reduces, a dozen popcounts of per-call
-dispatch overhead.  This module evaluates rounds in **batches**
-against a :class:`~repro.bitvec.kernel.BatchedBlockSet`, the
-concatenation of every touched (label, direction) matrix's packed
-rows:
+Serial solves on the ``batched`` kernel run the packed kernel's
+per-inequality CSR products.  A CSR product is a gather plus one
+scatter or bit test, so grouping products into one NumPy dispatch no
+longer pays on a single core: on the kernel bench the grouped serial
+engine measured no faster than per-inequality products.  What
+grouping still buys is *independent work*.  With ``workers > 1``
+(:mod:`repro.core.parallel`) the solver evaluates rounds in
+**batches** whose products a flush computes side by side:
 
-* all row-wise products of a batch become one fancy-index gather into
-  the shared block plus one ``np.bitwise_or.reduceat`` over the
-  per-inequality segments;
-* all column-wise products become one gather plus one
-  any-intersection test ``gathered.any(axis=1)``, each segment ANDed
-  against its source vector by broadcasting (no materialized repeat).
+* every deferred product gathers its CSR neighbour ranges at defer
+  time (row-wise: the neighbours of the source's set bits;
+  column-wise: the dual neighbours of the target's candidates, each
+  tagged with its candidate) — or, on a remote executor, ships the
+  whole product to a worker process;
+* a flush hands the pending products to the executor and applies the
+  results serially, which is where the work counters are kept.
 
 **Hazard flushing** keeps the evaluation order observably identical
 to the sequential kernels: inequalities are gathered in the static
 rank order, and the pending batch is executed the moment the next
 inequality reads or writes a variable some pending product is about
-to write.  Independent inequalities (the common case — a round's
-inequalities mostly touch disjoint variables) thus share one kernel
-dispatch, while dependent chains see exactly the values the
-sequential Gauss-Seidel loop would have produced.  The fixpoint, the
-per-variable rows, and the work counters (rounds, evaluations,
-updates, bits removed) all match the packed kernel bit for bit —
-property tests assert it.
+to write.  Independent inequalities share one flush, while dependent
+chains see exactly the values the sequential Gauss-Seidel loop would
+have produced.  The fixpoint, the per-variable rows, and the work
+counters (rounds, evaluations, updates, bits removed) all match the
+serial kernels bit for bit — property tests assert it.
 
 Nothing in a round mutates a candidate row in place (updates rebind
 ``rows[target]`` to a fresh bitset), so the source-vector references
@@ -41,12 +40,27 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.bitvec import Bitset
-from repro.bitvec.kernel import BatchedBlockSet
+from repro.bitvec.bitset import probe_bits, scatter_words
+from repro.bitvec.matrix import column_cheaper
 from repro.core.soi import (
     CopyInequality,
     FORWARD,
     SystemOfInequalities,
 )
+
+
+def product_words(
+    n: int,
+    ids: np.ndarray,
+    owners: Optional[np.ndarray] = None,
+    vector: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Words of one deferred product: the gathered ``ids`` (row-wise)
+    or, column-wise, the ``owners`` whose gathered ``ids`` hit the
+    source ``vector``."""
+    if owners is not None:
+        ids = owners[probe_bits(vector, ids)]
+    return scatter_words(n, ids)
 
 
 class _Batch:
@@ -58,39 +72,38 @@ class _Batch:
     """
 
     __slots__ = (
-        "n", "blocks", "targets", "executor",
-        "row_targets", "row_positions",
-        "col_targets", "col_candidates", "col_positions", "col_vectors",
+        "n", "targets", "executor",
+        "row_targets", "row_ids",
+        "col_targets", "col_owners", "col_ids", "col_vectors",
         "remote_targets", "remote_tasks",
     )
 
-    def __init__(self, n: int, blocks: BatchedBlockSet, executor=None):
+    def __init__(self, n: int, executor):
         self.n = n
-        self.blocks = blocks
         self.executor = executor
         self.targets: Set[int] = set()
         self.row_targets: List[int] = []
-        self.row_positions: List[np.ndarray] = []
+        self.row_ids: List[np.ndarray] = []
         self.col_targets: List[int] = []
-        self.col_candidates: List[np.ndarray] = []
-        self.col_positions: List[np.ndarray] = []
+        self.col_owners: List[np.ndarray] = []
+        self.col_ids: List[np.ndarray] = []
         self.col_vectors: List[np.ndarray] = []
         self.remote_targets: List[int] = []
         self.remote_tasks: List[tuple] = []
 
-    def add_row(self, target: int, positions: np.ndarray) -> None:
+    def add_row(self, target: int, ids: np.ndarray) -> None:
         self.targets.add(target)
         self.row_targets.append(target)
-        self.row_positions.append(positions)
+        self.row_ids.append(ids)
 
     def add_col(
-        self, target: int, candidates: np.ndarray,
-        positions: np.ndarray, vector: np.ndarray,
+        self, target: int, owners: np.ndarray,
+        ids: np.ndarray, vector: np.ndarray,
     ) -> None:
         self.targets.add(target)
         self.col_targets.append(target)
-        self.col_candidates.append(candidates)
-        self.col_positions.append(positions)
+        self.col_owners.append(owners)
+        self.col_ids.append(ids)
         self.col_vectors.append(vector)
 
     def add_remote(
@@ -114,16 +127,11 @@ class _Batch:
             return
         # (target, result words); result arrays are batch-owned (or
         # worker-returned copies), so the apply pass below may AND
-        # into them in place.
-        computed = (
-            self.executor.compute(self)
-            if self.executor is not None else None
-        )
-        if computed is not None:
-            # Parallel compute; the serial apply pass below is shared,
-            # so counters and updated-sets stay identical to serial.
-            results: List = computed
-        else:
+        # into them in place.  The executor computes the products;
+        # the serial apply pass keeps counters and updated-sets
+        # identical to a serial solve.
+        results = self.executor.compute(self)
+        if results is None:
             results = self._compute_serial()
 
         n = self.n
@@ -143,101 +151,29 @@ class _Batch:
 
         self.targets.clear()
         self.row_targets.clear()
-        self.row_positions.clear()
+        self.row_ids.clear()
         self.col_targets.clear()
-        self.col_candidates.clear()
-        self.col_positions.clear()
+        self.col_owners.clear()
+        self.col_ids.clear()
         self.col_vectors.clear()
         self.remote_targets.clear()
         self.remote_tasks.clear()
 
     def _compute_serial(self) -> List:
-        """The serial product computations (the unbatched-executor hot
-        path, and the thread executor's small-flush fallback)."""
-        results: List = []
-        block = self.blocks.block
+        """Every product on its own, in order (rows, then columns):
+        the thread executor's fallback for flushes too small to split."""
         n = self.n
-
-        positions = self.row_positions
-        if positions:
-            if len(positions) == 1:
-                results.append((
-                    self.row_targets[0],
-                    np.bitwise_or.reduce(block[positions[0]], axis=0),
-                ))
-            elif len(positions) <= 4:
-                # Few segments: one shared gather, then per-segment
-                # reduces over views (ufunc.reduceat's generic inner
-                # loop costs more than this many plain reduces).
-                gathered = block[np.concatenate(positions)]
-                start = 0
-                for target, chunk in zip(self.row_targets, positions):
-                    stop = start + chunk.size
-                    results.append((
-                        target,
-                        np.bitwise_or.reduce(
-                            gathered[start:stop], axis=0
-                        ),
-                    ))
-                    start = stop
-            else:
-                starts = [0]
-                total = 0
-                for chunk in positions[:-1]:
-                    total += chunk.size
-                    starts.append(total)
-                reduced = np.bitwise_or.reduceat(
-                    block[np.concatenate(positions)], starts, axis=0
-                )
-                results.extend(zip(self.row_targets, reduced))
-
-        candidates = self.col_candidates
-        if candidates:
-            if len(candidates) == 1:
-                gathered = block[self.col_positions[0]]
-                hits = np.bitwise_and(
-                    gathered, self.col_vectors[0], out=gathered
-                ).any(axis=1)
-                results.append((
-                    self.col_targets[0],
-                    Bitset.from_indices(n, candidates[0][hits]).words,
-                ))
-            else:
-                gathered = block[np.concatenate(self.col_positions)]
-                # AND each segment against its source vector by
-                # broadcasting over a view (materializing the vectors
-                # with np.repeat costs a full extra block write);
-                # consecutive items sharing a source coalesce into one
-                # call.
-                start = span = 0
-                vectors = self.col_vectors
-                active = vectors[0]
-                for members, vector in zip(candidates, vectors):
-                    if vector is not active:
-                        stop = start + span
-                        np.bitwise_and(
-                            gathered[start:stop], active,
-                            out=gathered[start:stop],
-                        )
-                        start, span, active = stop, 0, vector
-                    span += members.size
-                np.bitwise_and(
-                    gathered[start:], active, out=gathered[start:]
-                )
-                hits = gathered.any(axis=1)
-                bounds = []
-                total = 0
-                for members in candidates[:-1]:
-                    total += members.size
-                    bounds.append(total)
-                for target, members, segment in zip(
-                    self.col_targets, candidates, np.split(hits, bounds)
-                ):
-                    results.append((
-                        target,
-                        Bitset.from_indices(n, members[segment]).words,
-                    ))
-
+        results = [
+            (target, product_words(n, ids))
+            for target, ids in zip(self.row_targets, self.row_ids)
+        ]
+        results.extend(
+            (target, product_words(n, ids, owners, vector))
+            for target, owners, ids, vector in zip(
+                self.col_targets, self.col_owners, self.col_ids,
+                self.col_vectors,
+            )
+        )
         return results
 
 
@@ -251,11 +187,11 @@ def run_batched(
     product: str,
     report,
     n: int,
-    blocks: BatchedBlockSet,
     timer=None,
     resume_queue: Optional[List[int]] = None,
     resume_updated: Optional[Set[int]] = None,
-    executor=None,
+    *,
+    executor,
 ) -> Optional[Tuple[List[int], Set[int]]]:
     """Run the static-ordering fixpoint loop with batched rounds.
 
@@ -272,8 +208,7 @@ def run_batched(
     ``resume_updated`` continue a suspended round (an empty resumed
     queue closes the round, computing the next one from the set).
 
-    ``executor`` (:mod:`repro.core.parallel`) parallelizes the flush
-    computes.  ``executor is None`` is the serial hot path, untouched.
+    ``executor`` (:mod:`repro.core.parallel`) computes the flushes.
     A *remote* executor (fork workers) additionally moves the product
     materialization out of this process: real products defer as
     ``(label, direction, strategy, bits)`` tasks instead of gathered
@@ -287,10 +222,9 @@ def run_batched(
     source_of = [find(ineq.source) for ineq in inequalities]
     target_of = [find(ineq.target) for ineq in inequalities]
     is_copy = [isinstance(ineq, CopyInequality) for ineq in inequalities]
-    remote = executor is not None and executor.remote
+    remote = executor.remote
 
-    batch = _Batch(n, blocks, executor)
-    entry = blocks.entry
+    batch = _Batch(n, executor)
     add_remote = batch.add_remote
     flush = batch.flush
     add_row = batch.add_row
@@ -367,11 +301,15 @@ def run_batched(
                 continue
             forward = ineq.matrix == FORWARD
             if pair is None:
-                summary = summaries[0] if forward else summaries[1]
+                summary, dual_summary = (
+                    summaries if forward else summaries[::-1]
+                )
             else:
-                summary = (
-                    pair.forward if forward else pair.backward
-                ).summary
+                summary, dual_summary = (
+                    (pair.forward.summary, pair.backward.summary)
+                    if forward
+                    else (pair.backward.summary, pair.forward.summary)
+                )
             if (
                 source_count >= summary.count()
                 and summary.issubset(source_row)
@@ -384,14 +322,6 @@ def run_batched(
                 # variable: summary initialization made them equal to
                 # this very summary).  Served summary-only on tiered
                 # views: the label is never materialized for it.
-                if pair is None:
-                    dual_summary = (
-                        summaries[1] if forward else summaries[0]
-                    )
-                else:
-                    dual_summary = (
-                        pair.backward if forward else pair.forward
-                    ).summary
                 tightened = target_row & dual_summary
                 after = tightened.count()
                 if after != before:
@@ -402,7 +332,10 @@ def run_batched(
                 continue
             strategy = product
             if strategy == "auto":
-                strategy = "column" if before < source_count else "row"
+                strategy = "column" if column_cheaper(
+                    source_count, before,
+                    summary.count(), dual_summary.count(),
+                ) else "row"
             if remote:
                 # Ship the whole product to a worker owning its own
                 # snapshot view: this process never materializes the
@@ -419,53 +352,26 @@ def run_batched(
                 pair = get_pair(ineq.label)
             if strategy == "row":
                 matrix = pair.forward if forward else pair.backward
-                where = entry(
-                    ineq.label, "forward" if forward else "backward",
-                    matrix,
-                )
-                if source_count < matrix._row_nodes.size:
-                    # Sparse source: gather via its cached set bits.
-                    positions = where.row_index[source_row.iter_ones()]
-                    positions = positions[positions >= 0]
-                else:
-                    # Dense source: test each indexed node's bit
-                    # directly (mirrors AdjacencyMatrix._selected_block).
-                    selected = (
-                        source_row.words[matrix._word_idx]
-                        >> matrix._bit_shift
-                    ) & np.uint64(1)
-                    positions = selected.nonzero()[0]
-                if positions.size == 0:
+                ids = matrix.gather(source_row.iter_ones())
+                if ids.size == 0:
                     rows[target] = Bitset.zeros(n)
                     report.updates += 1
                     report.bits_removed += before
                     updated.add(target)
                     continue
-                if where.offset:
-                    positions += where.offset
-                add_row(target, positions)
+                add_row(target, ids)
             else:
                 # Column-wise: keep candidate j of the target iff the
                 # *dual* matrix's row j intersects the source vector.
                 dual = pair.backward if forward else pair.forward
-                where = entry(
-                    ineq.label, "backward" if forward else "forward",
-                    dual,
-                )
-                candidates = target_row.iter_ones()
-                positions = where.row_index[candidates]
-                valid = positions >= 0
-                candidates = candidates[valid]
-                if candidates.size == 0:
+                owners, ids = dual.gather_pairs(target_row.iter_ones())
+                if ids.size == 0:
                     rows[target] = Bitset.zeros(n)
                     report.updates += 1
                     report.bits_removed += before
                     updated.add(target)
                     continue
-                positions = positions[valid]
-                if where.offset:
-                    positions += where.offset
-                add_col(target, candidates, positions, source_row.words)
+                add_col(target, owners, ids, source_row.words)
         flush(rows, report, updated)
         report.evaluations += evaluations
         pending_next: Set[int] = set()

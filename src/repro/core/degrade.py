@@ -2,7 +2,7 @@
 
 The three solver kernels are proven bit-identical, so a fault inside
 an optimized kernel (a NumPy dtype surprise on an exotic platform, a
-corrupted packed block, a bug tripped by an unusual shape) never has
+corrupted adjacency array, a bug tripped by an unusual shape) never has
 to kill the query — the same solve can rerun one tier down and
 produce the *same* answer, just slower.
 

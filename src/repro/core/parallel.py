@@ -11,13 +11,12 @@ stays serial.  This module provides the two worker models behind
 ``ExecutionProfile.workers``:
 
 * :class:`ThreadFlushExecutor` (``worker_mode="threads"``, the
-  default) — splits a flush's row/column product segments into
-  contiguous chunks and computes them on a persistent thread pool.
-  NumPy releases the GIL inside the bitwise gather/reduce kernels, so
-  the chunks genuinely overlap on multi-core hosts.  Flushes below
-  :data:`MIN_PARALLEL_ROWS` gathered rows fall back to the serial
-  compute path, whose small-batch special cases are faster than any
-  dispatch.
+  default) — splits a flush's row/column products into contiguous
+  chunks and computes them on a persistent thread pool.  NumPy
+  releases the GIL inside the bit-test and scatter kernels, so the
+  chunks genuinely overlap on multi-core hosts.  Flushes below
+  :data:`MIN_PARALLEL_ROWS` gathered ids are computed one by one in
+  the solving thread, which is faster than any dispatch.
 * :class:`ForkProductExecutor` (``worker_mode="fork"``) — the
   scale-out mode: a pool of forked worker processes, each holding its
   *own* :class:`~repro.storage.tiered.TieredGraphView` over the
@@ -53,10 +52,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bitvec.bitset import Bitset, _word_count
+from repro.core.batched import product_words
 from repro.obs.metrics import registry
 from repro.storage.format import shard_of_label
 
-#: Below this many gathered rows per flush, serial compute wins — the
+#: Below this many gathered ids per flush, serial compute wins — the
 #: thread executor hands the batch back to the serial path.  Tests
 #: lower it to force the parallel path on tiny graphs.
 MIN_PARALLEL_ROWS = 4096
@@ -90,9 +90,9 @@ def _thread_pool(workers: int) -> ThreadPoolExecutor:
 class ThreadFlushExecutor:
     """Chunk a flush's product segments across a thread pool.
 
-    ``remote`` is False: the engine defers positions into the shared
-    block set exactly as in serial mode; only the compute of a flush
-    is farmed out.
+    ``remote`` is False: the engine gathers the CSR neighbour ids
+    exactly as in serial mode; only the compute of a flush is farmed
+    out.
     """
 
     remote = False
@@ -115,45 +115,26 @@ class ThreadFlushExecutor:
         floor = (
             self.min_rows if self.min_rows is not None else MIN_PARALLEL_ROWS
         )
-        total = sum(p.size for p in batch.row_positions)
-        total += sum(p.size for p in batch.col_positions)
+        total = sum(ids.size for ids in batch.row_ids)
+        total += sum(ids.size for ids in batch.col_ids)
         if total < floor:
             return None
 
-        block = batch.blocks.block
         n = batch.n
         work: List[tuple] = [
-            ("row", target, positions, None, None)
-            for target, positions in zip(
-                batch.row_targets, batch.row_positions
-            )
+            (target, ids, None, None)
+            for target, ids in zip(batch.row_targets, batch.row_ids)
         ]
-        work.extend(
-            ("col", target, positions, candidates, vector)
-            for target, candidates, positions, vector in zip(
-                batch.col_targets, batch.col_candidates,
-                batch.col_positions, batch.col_vectors,
-            )
-        )
+        work.extend(zip(
+            batch.col_targets, batch.col_ids, batch.col_owners,
+            batch.col_vectors,
+        ))
 
         def run_chunk(chunk: List[tuple]) -> List[Tuple[int, np.ndarray]]:
-            out: List[Tuple[int, np.ndarray]] = []
-            for kind, target, positions, candidates, vector in chunk:
-                if kind == "row":
-                    out.append((
-                        target,
-                        np.bitwise_or.reduce(block[positions], axis=0),
-                    ))
-                else:
-                    gathered = block[positions]
-                    hits = np.bitwise_and(
-                        gathered, vector, out=gathered
-                    ).any(axis=1)
-                    out.append((
-                        target,
-                        Bitset.from_indices(n, candidates[hits]).words,
-                    ))
-            return out
+            return [
+                (target, product_words(n, ids, owners, vector))
+                for target, ids, owners, vector in chunk
+            ]
 
         width = min(self.workers, len(work))
         bounds = np.linspace(0, len(work), width + 1).astype(int)

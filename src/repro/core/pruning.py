@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, List, Set, Tuple
 
 from repro.core.compiler import CompiledQuery
@@ -60,10 +61,13 @@ class PruneResult:
 
 
 def retained_triples(result: SolverResult) -> Set[IndexedTriple]:
-    """Triples kept by one solved SOI (one union-free branch)."""
+    """Triples kept by one solved SOI (one union-free branch).
+
+    Per SOI edge: one gather of the adjacency ranges of the smaller
+    endpoint row plus one bit test against the other row.
+    """
     soi = result.soi
-    data = result.data
-    matrices = data.matrices()
+    matrices = result.data.matrices()
     kept: Set[IndexedTriple] = set()
     for edge in soi.edges:
         pair = matrices.get(edge.label)
@@ -73,19 +77,18 @@ def retained_triples(result: SolverResult) -> Set[IndexedTriple]:
         target_row = result.row(edge.target)
         if source_row.is_empty() or target_row.is_empty():
             continue
-        # Iterate whichever side is smaller against the adjacency.
+        # Gather from whichever side is smaller.
         if source_row.count() <= target_row.count():
-            active = source_row & pair.forward.summary
-            for i in active.iter_ones():
-                matched = pair.forward.rows[int(i)] & target_row
-                for j in matched.iter_ones():
-                    kept.add((int(i), edge.label, int(j)))
+            sources, targets = pair.forward.edges_between(
+                source_row, target_row
+            )
         else:
-            active = target_row & pair.backward.summary
-            for j in active.iter_ones():
-                matched = pair.backward.rows[int(j)] & source_row
-                for i in matched.iter_ones():
-                    kept.add((int(i), edge.label, int(j)))
+            targets, sources = pair.backward.edges_between(
+                target_row, source_row
+            )
+        kept.update(
+            zip(sources.tolist(), repeat(edge.label), targets.tolist())
+        )
     return kept
 
 

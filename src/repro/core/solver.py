@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
 from repro.bitvec import Bitset
-from repro.bitvec.kernel import (
-    BATCHED,
-    BatchedBlockSet,
-    active_kernel,
-    use_kernel,
-)
+from repro.bitvec.kernel import BATCHED, active_kernel, use_kernel
 from repro.core.batched import run_batched
 from repro.core.parallel import WORKER_MODES, executor_for
 from repro.core.checkpoint import (
@@ -74,8 +69,9 @@ class SolverOptions:
     #: for end-user sessions.  Typed repro errors always propagate.
     degrade_on_fault: bool = False
     #: Parallel flush evaluation width for the batched kernel
-    #: (:mod:`repro.core.parallel`).  1 = serial (the default, and the
-    #: exact pre-parallel code path).  Proven bit-identical to serial,
+    #: (:mod:`repro.core.parallel`).  1 = serial (the default: the
+    #: per-inequality products of the packed kernel).  Proven
+    #: bit-identical to serial,
     #: so it is a pure throughput knob — excluded from continuation
     #: fingerprints on purpose.
     workers: int = 1
@@ -487,18 +483,18 @@ def _solve_once(
             ordering=options.ordering, seed=options.seed,
         )
         rank = {idx: position for position, idx in enumerate(order)}
-        if active_kernel() == BATCHED:
-            # Whole rounds as single gather+reduce batches against the
-            # graph's concatenated block set (repro.core.batched); the
-            # dynamic ordering above stays per-inequality by nature
-            # and runs on the packed per-matrix products instead.
-            getter = getattr(data, "batched_blocks", None)
-            blocks = (
-                getter() if callable(getter) else BatchedBlockSet(n)
-            )
+        executor = (
+            executor_for(options, data)
+            if active_kernel() == BATCHED else None
+        )
+        if executor is not None:
+            # Parallel batched solve: hazard-free runs of inequalities
+            # whose products the executor computes side by side
+            # (repro.core.batched).  Serial batched solves, and the
+            # dynamic ordering above, run the per-inequality products.
             suspended = run_batched(
                 soi, matrices, rows, inequalities, by_source, rank,
-                options.product, report, n, blocks,
+                options.product, report, n,
                 timer=timer,
                 resume_queue=(
                     list(resume.queue) if resume is not None else None
@@ -506,7 +502,7 @@ def _solve_once(
                 resume_updated=(
                     set(resume.updated) if resume is not None else None
                 ),
-                executor=executor_for(options, data),
+                executor=executor,
             )
             if suspended is not None:
                 remaining, updated = suspended

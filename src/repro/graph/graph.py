@@ -5,15 +5,17 @@ a finite label alphabet, and a labeled edge relation
 ``E subseteq V x Sigma x V``.  Nodes carry arbitrary hashable names;
 internally every node gets a dense integer index so the bitvec kernel
 can address them, and per-label forward/backward adjacency maps
-``F_a`` / ``B_a`` are maintained as :class:`LabelMatrixPair`.
+``F_a`` / ``B_a`` are built on demand as CSR
+:class:`LabelMatrixPair` objects.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
-from repro.bitvec import Bitset, LabelMatrixPair
+from repro.bitvec import Bitset, LabelMatrixPair, build_label_matrices
 from repro.errors import GraphError
+from repro.obs.trace import current_tracer
 
 Edge = Tuple[Hashable, str, Hashable]
 
@@ -29,7 +31,6 @@ class Graph:
         self._in: Dict[int, Set[Tuple[str, int]]] = {}
         self._labels: Set[str] = set()
         self._matrices: Dict[str, LabelMatrixPair] | None = None
-        self._batched = None
 
     # -- construction ----------------------------------------------------
 
@@ -43,7 +44,6 @@ class Graph:
             self._out[idx] = set()
             self._in[idx] = set()
             self._matrices = None
-            self._batched = None
         return idx
 
     def add_edge(self, src: Hashable, label: str, dst: Hashable) -> None:
@@ -59,7 +59,6 @@ class Graph:
             self._in[d].add((label, s))
             self._labels.add(label)
             self._matrices = None
-            self._batched = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
@@ -161,42 +160,40 @@ class Graph:
     # -- bit-matrix view ------------------------------------------------------
 
     def matrices(self) -> Dict[str, LabelMatrixPair]:
-        """Per-label adjacency bit-matrices, built lazily and cached.
+        """Per-label CSR adjacency matrices, built lazily and cached.
 
-        Each matrix is packed once here (rows laid out contiguously
-        for the vectorized kernel); further edge insertions invalidate
-        this cache, so handing out packed matrices is safe.
+        All labels are built in one pass over the integer triples (see
+        :func:`~repro.bitvec.matrix.build_label_matrices`); further
+        edge insertions invalidate this cache.  When tracing, the build
+        is a ``matrix_build`` span carrying the label, edge, and byte
+        counts of the result.
         """
         if self._matrices is None:
-            built: Dict[str, LabelMatrixPair] = {}
-            n = self.n_nodes
-            for s, label, d in self._edges:
-                pair = built.get(label)
-                if pair is None:
-                    pair = LabelMatrixPair(n)
-                    built[label] = pair
-                pair.add_edge(s, d)
-            for pair in built.values():
-                pair.pack()
-            self._matrices = built
+            tracer = current_tracer()
+            if not tracer.enabled:
+                self._matrices = build_label_matrices(
+                    self.n_nodes, self._edges
+                )
+            else:
+                with tracer.span("matrix_build") as span:
+                    self._matrices = build_label_matrices(
+                        self.n_nodes, self._edges
+                    )
+                    span.set_attributes(
+                        labels=len(self._matrices),
+                        edges=len(self._edges),
+                        bytes=self.adjacency_bytes(),
+                    )
         return self._matrices
+
+    def adjacency_bytes(self) -> int:
+        """Bytes of the built CSR matrices (0 before the first build)."""
+        if self._matrices is None:
+            return 0
+        return sum(pair.nbytes for pair in self._matrices.values())
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:
         return self.matrices().get(label)
-
-    def batched_blocks(self):
-        """The graph's shared multi-label block set (``batched`` kernel).
-
-        Created empty and filled label-by-label as solver rounds touch
-        matrices; cached so repeated solves over the same graph reuse
-        the concatenated rows.  Any mutation invalidates it together
-        with the matrix cache.
-        """
-        if self._batched is None:
-            from repro.bitvec.kernel import BatchedBlockSet
-
-            self._batched = BatchedBlockSet(self.n_nodes)
-        return self._batched
 
     def nodes_bitset(self, names: Iterable[Hashable]) -> Bitset:
         """Bitset over this graph's index space from node names."""

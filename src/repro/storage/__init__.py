@@ -2,8 +2,8 @@
 
 The persistence layer of the reproduction: build a snapshot once
 (``repro db build``), then open it in any number of processes without
-re-parsing N-Triples text.  Hot labels arrive as zero-copy packed
-blocks; cold labels stay gap-encoded on disk until first touch
+re-parsing N-Triples text.  Hot labels are converted to CSR when the
+snapshot opens; cold labels stay gap-encoded on disk until first touch
 (see :mod:`repro.storage.tiered`).
 
 Public surface:

@@ -6,11 +6,11 @@ dictionaries (nodes and predicates), and one payload *block* per
 (label, direction) adjacency matrix.  Every block is stored in one of
 two encodings, chosen per label by the writer's density heuristic:
 
-* ``dense``  — the packed ``(n_rows, n_words)`` ``uint64`` row block
-  of :class:`~repro.bitvec.matrix.AdjacencyMatrix`, preceded by the
-  ``int64`` node ids of its rows.  A reader can wrap these bytes into
-  NumPy views with zero copies, which is what makes dense labels
-  "hot": they are solver-ready the moment the file is open.
+* ``dense``  — the ``(n_rows, n_words)`` ``uint64`` block of the
+  non-empty rows as bit-vectors, preceded by the ``int64`` node ids of
+  its rows.  Dense labels are "hot": the reader converts them to the
+  solver's CSR adjacency when the file is opened, expanding only the
+  block's non-zero words.
 * ``gap``    — per-row gap-length runs (:mod:`repro.bitvec.gap`):
   row node ids, a ``uint64`` offsets array (in run elements), and the
   concatenated ``uint32`` runs.  Gap labels are "cold": they cost a

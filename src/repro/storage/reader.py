@@ -4,32 +4,33 @@ The reader memory-maps the file and parses only the header, the two
 term dictionaries, and the block table — O(dictionary) work, not
 O(edges).  Adjacency payloads stay untouched until asked for:
 
-* :meth:`SnapshotReader.dense_matrix` wraps a dense block's bytes
-  into an :class:`~repro.bitvec.matrix.AdjacencyMatrix` whose packed
-  row block is a **zero-copy read-only view** into the mapping;
+* :meth:`SnapshotReader.dense_matrix` converts a dense block into a
+  CSR :class:`~repro.bitvec.matrix.AdjacencyMatrix`, expanding only
+  the block's non-zero words;
 * :meth:`SnapshotReader.gap_matrix` wraps a gap block into a
-  :class:`~repro.bitvec.gap.GapEncodedMatrix` whose per-row run
-  arrays are likewise views — decoding happens only when rows are
-  touched (or all at once via ``to_adjacency`` on promotion).
+  :class:`~repro.bitvec.gap.GapEncodedMatrix` whose arrays are
+  zero-copy views into the mapping — decoding happens only when rows
+  are touched (or all at once via ``to_adjacency`` on promotion);
+* :meth:`SnapshotReader.adjacency` is the CSR matrix of a block of
+  either encoding.
 
-Matrices served from a snapshot are read-only: attempting to ``add``
-edges to them raises, by NumPy's write protection on the mapped
-buffer.  That is deliberate — a snapshot is an immutable artifact;
-mutate a :class:`GraphDatabase` and re-export instead.
+A snapshot is an immutable artifact; mutate a :class:`GraphDatabase`
+(or open the snapshot for editing) and re-export instead.
 """
 
 from __future__ import annotations
 
 import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.bitvec.bitset import Bitset, _word_count
-from repro.bitvec.gap import GapEncodedMatrix, decode as gap_decode
-from repro.bitvec.matrix import AdjacencyMatrix
+from repro.bitvec.bitset import _word_count
+from repro.bitvec.gap import GapEncodedMatrix
+from repro.bitvec.matrix import AdjacencyMatrix, csr_bytes
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.storage.checksum import crc32c
 from repro.storage.format import (
@@ -55,6 +56,17 @@ _META_SECTIONS = (
 )
 
 
+@contextmanager
+def _malformed(label: str, direction: str) -> Iterator[None]:
+    """Report a payload that fails to decode as a SnapshotError."""
+    try:
+        yield
+    except (IndexError, ValueError) as error:
+        raise SnapshotError(
+            f"malformed payload {label}/{direction}: {error}"
+        ) from error
+
+
 @dataclass
 class LabelBlockInfo:
     """Per-label summary for ``repro db info`` and the residency math."""
@@ -64,6 +76,7 @@ class LabelBlockInfo:
     n_edges: int           # forward-direction edge count
     payload_bytes: int     # on-disk bytes of both directions
     dense_bytes: int       # bytes both directions would occupy dense
+    resident_bytes: int = 0  # CSR bytes of both directions once promoted
 
 
 @dataclass
@@ -109,6 +122,7 @@ class SnapshotInfo:
                     "n_edges": i.n_edges,
                     "payload_bytes": i.payload_bytes,
                     "dense_bytes": i.dense_bytes,
+                    "resident_bytes": i.resident_bytes,
                 }
                 for i in self.labels
             ],
@@ -526,33 +540,25 @@ class SnapshotReader:
         return self._row_nodes(entry)
 
     def dense_matrix(self, label: str, direction: str) -> AdjacencyMatrix:
-        """Zero-copy :class:`AdjacencyMatrix` over a dense block."""
+        """CSR :class:`AdjacencyMatrix` of a dense block.
+
+        Only the block's non-zero words are expanded (see
+        :meth:`AdjacencyMatrix.from_dense_rows`); the mapping itself
+        is read, never copied whole."""
         entry = self._entry(label, direction)
         self._check_payload(label, direction, entry)
         if entry.encoding != ENCODING_DENSE:
             raise SnapshotError(
                 f"label {label!r} is gap-encoded; use gap_matrix()"
             )
-        n = self.n_nodes
         nodes = self._row_nodes(entry)
-        packed = self._array(
+        block = self._array(
             np.uint64, entry.n_rows * self._n_words,
             entry.payload_off + 8 * entry.n_rows,
             buffer=self._buf(entry),
-        ).reshape(entry.n_rows, self._n_words)
-        out = AdjacencyMatrix(n)
-        for position, node in enumerate(nodes.tolist()):
-            out.rows[node] = Bitset._wrap(n, packed[position])
-        out.summary = Bitset.from_indices(n, nodes)
-        out.n_edges = entry.n_edges
-        row_index = np.full(n, -1, dtype=np.int64)
-        row_index[nodes] = np.arange(nodes.size, dtype=np.int64)
-        out._row_nodes = nodes
-        out._row_index = row_index
-        out._word_idx = nodes // 64
-        out._bit_shift = (nodes % 64).astype(np.uint64)
-        out._packed = packed
-        return out
+        )
+        with _malformed(label, direction):
+            return AdjacencyMatrix.from_dense_rows(self.n_nodes, nodes, block)
 
     def gap_matrix(self, label: str, direction: str) -> GapEncodedMatrix:
         """View-backed :class:`GapEncodedMatrix` over a gap block."""
@@ -562,7 +568,6 @@ class SnapshotReader:
             raise SnapshotError(
                 f"label {label!r} is dense; use dense_matrix()"
             )
-        n = self.n_nodes
         nodes = self._row_nodes(entry)
         buffer = self._buf(entry)
         offsets = self._array(
@@ -575,11 +580,16 @@ class SnapshotReader:
             entry.payload_off + 8 * entry.n_rows + 8 * (entry.n_rows + 1),
             buffer=buffer,
         )
-        out = GapEncodedMatrix(n)
-        bounds = offsets.astype(np.int64)
-        for position, node in enumerate(nodes.tolist()):
-            out._rows[node] = runs[bounds[position]:bounds[position + 1]]
-        return out
+        return GapEncodedMatrix(self.n_nodes, nodes, offsets, runs)
+
+    def adjacency(self, label: str, direction: str) -> AdjacencyMatrix:
+        """The block as a CSR :class:`AdjacencyMatrix`, whatever its
+        encoding (gap blocks decode in one vectorized pass)."""
+        if self._entry(label, direction).encoding == ENCODING_DENSE:
+            return self.dense_matrix(label, direction)
+        matrix = self.gap_matrix(label, direction)
+        with _malformed(label, direction):
+            return matrix.to_adjacency()
 
     def payload_bytes(self, label: str) -> int:
         """On-disk payload bytes of both directions of one label."""
@@ -596,19 +606,9 @@ class SnapshotReader:
         """All (subject, predicate, object) id triples, decoded from
         the forward blocks (labels in id order, subjects ascending)."""
         for label_id, label in enumerate(self._predicate_terms):
-            entry = self._entry(label, "forward")
-            n = self.n_nodes
-            if entry.encoding == ENCODING_DENSE:
-                matrix = self.dense_matrix(label, "forward")
-                for node in matrix._row_nodes.tolist():
-                    for obj in matrix.rows[node].iter_ones().tolist():
-                        yield (node, label_id, obj)
-            else:
-                matrix = self.gap_matrix(label, "forward")
-                for node in sorted(matrix._rows):
-                    row = gap_decode(matrix._rows[node], n)
-                    for obj in row.iter_ones().tolist():
-                        yield (node, label_id, obj)
+            subjects, objects = self.adjacency(label, "forward").edges()
+            for s, o in zip(subjects.tolist(), objects.tolist()):
+                yield (s, label_id, o)
 
     def iter_triples(self) -> Iterator[Tuple[Hashable, str, Hashable]]:
         """All name triples (decoded through the dictionaries)."""
@@ -670,14 +670,8 @@ class SnapshotReader:
             ):
                 name = f"payload {label}/{direction}"
                 try:
-                    if entry.encoding == ENCODING_DENSE:
-                        self.dense_matrix(label, direction)
-                    else:
-                        # Full decode: runs must reconstruct every row
-                        # (a dense check only wraps views).
-                        matrix = self.gap_matrix(label, direction)
-                        for node in matrix._rows:
-                            gap_decode(matrix._rows[node], self.n_nodes)
+                    # Full decode: every row must reconstruct.
+                    self.adjacency(label, direction)
                     sections.append(SectionCheck(name, "ok",
                                                  "structural check only"))
                 except SnapshotError as error:
@@ -719,6 +713,9 @@ class SnapshotReader:
                     n_edges=self.n_label_edges(label),
                     payload_bytes=self.payload_bytes(label),
                     dense_bytes=dense_total,
+                    resident_bytes=2 * csr_bytes(
+                        self.n_nodes, self.n_label_edges(label)
+                    ),
                 )
             )
         return SnapshotInfo(

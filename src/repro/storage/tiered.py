@@ -1,4 +1,4 @@
-"""Tiered graph view: hot packed blocks + cold gap blocks, promoted
+"""Tiered graph view: hot and cold snapshot blocks, promoted to CSR
 lazily and demoted under a residency budget.
 
 :class:`TieredGraphView` opens a snapshot and satisfies the adjacency
@@ -9,30 +9,31 @@ interface the SOI solver and the pruning stage consume from
   ``node_index`` / ``has_node`` / ``nodes_bitset``
 * ``matrices()`` returning a mapping ``label -> LabelMatrixPair``
 
-The mapping is where the tiering lives.  *Hot* labels (stored dense)
-are wrapped into packed :class:`AdjacencyMatrix` views at open time —
-zero copies, solver-ready.  *Cold* labels (stored gap-encoded) occupy
-only their compressed bytes until a query first asks for them; the
-first ``matrices().get(label)`` **promotes** the label by decoding
-both directions through :meth:`GapEncodedMatrix.to_adjacency` into
-packed blocks, which are then cached like any hot label.  Residency
-counters (:meth:`residency`) expose how much of the database is
-actually materialized — the quantity behind the paper's 35 GB fully
-dense vs 23 GB mixed-residency comparison (Sect. 3.3).
+The mapping is where the tiering lives.  Every resident label is held
+as the CSR :class:`~repro.bitvec.matrix.AdjacencyMatrix` pair the
+solver runs on.  *Hot* labels (stored dense) are converted at open
+time, expanding only the non-zero words of their row blocks.  *Cold*
+labels (stored gap-encoded) occupy only their compressed bytes until a
+query first asks for them; the first ``matrices().get(label)``
+**promotes** the label by decoding both directions through
+:meth:`GapEncodedMatrix.to_adjacency` straight into CSR, which is then
+cached like any hot label.  Residency counters (:meth:`residency`)
+expose how much of the database is actually materialized, in CSR
+bytes — the quantity behind the paper's 35 GB fully dense vs 23 GB
+mixed-residency comparison (Sect. 3.3).
 
 Residency is bounded, not just reported.  Every lookup refreshes the
 label's position in a touch-ordered LRU; when
-:attr:`residency_budget` is set, a promotion that pushes resident
-packed bytes over the budget **demotes** the least-recently-touched
-resident labels (gap labels drop their decoded blocks back to the
-on-disk gap rows, dense labels drop their zero-copy wrappers), and
-:meth:`enforce_budget` runs the same pass at query boundaries and
-compacts the batched kernel's shared block.  Demotion keeps each
-label's Eq. (13) summary vectors resident (they are tiny —
-2 x n/8 bytes), so summary initialization and the batched kernel's
-saturated-source shortcut never force a label back in; summaries of
-never-promoted cold labels are likewise served straight from the
-block table's row node ids without decoding a single row.
+:attr:`residency_budget` is set, a promotion that pushes resident CSR
+bytes over the budget **demotes** the least-recently-touched resident
+labels (their CSR arrays are dropped; the next touch rebuilds them
+from the on-disk block), and :meth:`enforce_budget` runs the same pass
+at query boundaries.  Demotion keeps each label's Eq. (13) summary
+vectors resident (they are tiny — 2 x n/8 bytes), so summary
+initialization and the batched kernel's saturated-source shortcut
+never force a label back in; summaries of never-promoted cold labels
+are likewise served straight from the block table's row node ids
+without decoding a single row.
 
 A view is read-only; it intentionally does **not** implement the
 mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
@@ -111,7 +112,7 @@ class ResidencyReport:
     cold_labels: int         # not resident (on-disk rows only)
     promotions: int          # cold labels decoded so far (re-decodes too)
     promoted_labels: Tuple[str, ...]
-    resident_bytes: int      # packed blocks currently materialized
+    resident_bytes: int      # CSR bytes currently materialized
     on_disk_bytes: int       # snapshot file size
     demotions: int = 0       # labels dropped by the LRU pass so far
     demoted_labels: Tuple[str, ...] = ()
@@ -180,15 +181,6 @@ class TieredMatrices:
             yield (label, self[label])
 
 
-def _pair_resident_bytes(pair: LabelMatrixPair) -> int:
-    total = 0
-    for matrix in (pair.forward, pair.backward):
-        if matrix._packed is not None:
-            total += matrix._packed.nbytes
-            total += matrix._row_nodes.nbytes + matrix._row_index.nbytes
-    return total
-
-
 class TieredGraphView:
     """A graph database served from a snapshot, tiered hot/cold."""
 
@@ -228,7 +220,6 @@ class TieredGraphView:
             if self._tiers[label] == "dense":
                 self._materialize(label)
         self._matrices = TieredMatrices(self)
-        self._batched = None
 
     # -- tier mechanics ---------------------------------------------------
 
@@ -279,26 +270,17 @@ class TieredGraphView:
         tier = self._tiers[label]
         with tracer.span("promotion", label=label, tier=tier) as span:
             pair = self._materialize_inner(label)
-            span.set_attribute("bytes", _pair_resident_bytes(pair))
+            span.set_attribute("bytes", pair.nbytes)
             return pair
 
     def _materialize_inner(self, label: str) -> LabelMatrixPair:
         reader = self.reader
-        pair = LabelMatrixPair(reader.n_nodes)
-        if self._tiers[label] == "dense":
-            pair.forward = self._with_retries(
-                lambda: reader.dense_matrix(label, "forward")
-            )
-            pair.backward = self._with_retries(
-                lambda: reader.dense_matrix(label, "backward")
-            )
-        else:
-            pair.forward = self._with_retries(
-                lambda: reader.gap_matrix(label, "forward").to_adjacency()
-            )
-            pair.backward = self._with_retries(
-                lambda: reader.gap_matrix(label, "backward").to_adjacency()
-            )
+        pair = LabelMatrixPair(
+            reader.n_nodes,
+            self._with_retries(lambda: reader.adjacency(label, "forward")),
+            self._with_retries(lambda: reader.adjacency(label, "backward")),
+        )
+        if self._tiers[label] != "dense":
             self._promoted.append(label)
             registry().counter("promotions_total").inc()
         self._pairs[label] = pair  # lands at the MRU end
@@ -308,10 +290,10 @@ class TieredGraphView:
         return pair
 
     def promote(self, label: str) -> LabelMatrixPair:
-        """Materialize a label into packed matrices (idempotent).
+        """Materialize a label into CSR matrices (idempotent).
 
         Gap-tier labels decode through ``to_adjacency``; demoted
-        dense-tier labels re-wrap their zero-copy mmap views.  When a
+        dense-tier labels re-convert their mapped row blocks.  When a
         :attr:`residency_budget` is set, the promotion immediately
         sheds least-recently-touched *other* labels so mid-solve
         promotions respect the ceiling too.
@@ -335,24 +317,21 @@ class TieredGraphView:
                 self._materialize(label)
 
     def demote(self, label: str) -> int:
-        """Drop a resident label's packed blocks; returns bytes freed.
+        """Drop a resident label's CSR arrays; returns bytes freed.
 
-        The label's Eq. (13) summaries stay resident, its batched
-        segments are invalidated (reclaimed by the next compaction),
-        and the next ``matrices().get(label)`` transparently
-        re-materializes it from the on-disk rows.
+        The label's Eq. (13) summaries stay resident, and the next
+        ``matrices().get(label)`` transparently re-materializes it
+        from the on-disk rows.
         """
         pair = self._pairs.pop(label, None)
         if pair is None:
             raise GraphError(f"label not resident: {label!r}")
-        freed = _pair_resident_bytes(pair)
+        freed = pair.nbytes
         self._demoted.append(label)
         registry().counter("demotions_total").inc()
         tracer = current_tracer()
         if tracer.enabled:
             tracer.event("demotion", label=label, bytes=freed)
-        if self._batched is not None:
-            self._batched.invalidate(label)
         return freed
 
     def _shed(self, protect: Optional[str] = None) -> int:
@@ -381,19 +360,13 @@ class TieredGraphView:
         """Apply the residency budget now; returns labels demoted.
 
         Called at query boundaries: demotes least-recently-touched
-        labels until resident packed bytes fit the budget (``None``
-        keeps the current one), then compacts the batched kernel's
-        shared block so demoted segments release their bytes as well.
-        Safe to call any time no solve is in flight.
+        labels until resident CSR bytes fit the budget (``None`` keeps
+        the current one).  Safe to call any time no solve is in
+        flight.
         """
         if budget is not None:
             self.residency_budget = budget
-        demoted = self._shed()
-        if self._batched is not None and (
-            demoted or self._batched.stale_rows
-        ):
-            self._batched.compact()
-        return demoted
+        return self._shed()
 
     @property
     def promotions(self) -> int:
@@ -412,10 +385,8 @@ class TieredGraphView:
         return label in self._pairs
 
     def resident_bytes(self) -> int:
-        """Packed bytes currently materialized (the budgeted value)."""
-        return sum(
-            _pair_resident_bytes(pair) for pair in self._pairs.values()
-        )
+        """CSR bytes currently materialized (the budgeted value)."""
+        return sum(pair.nbytes for pair in self._pairs.values())
 
     def lru_labels(self) -> Tuple[str, ...]:
         """Resident labels, least-recently-touched first."""
@@ -487,23 +458,6 @@ class TieredGraphView:
 
     def matrices(self) -> TieredMatrices:
         return self._matrices
-
-    def batched_blocks(self):
-        """The view's shared multi-label block set (``batched`` kernel).
-
-        Lazily created and filled as solver rounds touch labels.  A
-        cold label promoted mid-solve simply *appends* its freshly
-        decoded rows to the concatenated block on its first batched
-        product — labels already stacked are never re-copied (the
-        block grows geometrically, amortized O(1) per row).  A
-        demotion invalidates the label's segments; the boundary-time
-        :meth:`enforce_budget` compaction reclaims them.
-        """
-        if self._batched is None:
-            from repro.bitvec.kernel import BatchedBlockSet
-
-            self._batched = BatchedBlockSet(self.reader.n_nodes)
-        return self._batched
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:
         return self._pair(label)

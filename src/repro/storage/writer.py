@@ -1,15 +1,17 @@
 """Snapshot writer: serialize a graph database to the binary format.
 
-The writer materializes the per-label adjacency matrices once (they
-are what the solver runs on anyway), gap-encodes every row, and then
-decides **per label** which encoding reaches the disk:
+The writer reads the per-label CSR adjacency matrices (they are what
+the solver runs on anyway), gap-encodes every row straight from the
+CSR ranges, and then decides **per label** which encoding reaches the
+disk:
 
-* labels whose gap-encoded bytes undercut their dense packed bytes
+* labels whose gap-encoded bytes undercut their dense row-block bytes
   (``encoded < cold_threshold * dense``) are stored ``gap`` — they
   become the *cold tier*, staying compressed in the open snapshot
   until a query first touches them;
-* all other labels are stored ``dense`` — the *hot tier*, loadable as
-  zero-copy NumPy views straight into the packed kernel.
+* all other labels are stored ``dense`` — the *hot tier*, converted
+  to CSR when the snapshot is opened.  The dense row block is built
+  only for labels that take this encoding.
 
 Output is deterministic: node ids follow the database's insertion
 order, predicate ids are the sorted label order, rows are sorted by
@@ -27,7 +29,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from repro.bitvec.gap import encode as gap_encode
+from repro.bitvec.gap import GapEncodedMatrix
 from repro.errors import SnapshotError
 from repro.storage.checksum import crc32c
 from repro.storage.format import (
@@ -90,31 +92,27 @@ class WriteReport:
         return sum(1 for t in self.tiers.values() if t == "cold")
 
 
+def _dense_bytes(matrix) -> int:
+    """Size of :func:`_dense_payload` without building it."""
+    n_rows = matrix.summary.count()
+    return 8 * n_rows * (1 + (matrix.n + 63) // 64)
+
+
 def _dense_payload(matrix) -> bytes:
-    """Row node ids + the packed row block, as stored on disk."""
-    matrix.pack()
-    nodes = matrix._row_nodes
+    """Row node ids + the dense ``(n_rows, n_words)`` row block."""
+    nodes, block = matrix.to_dense_rows()
     if nodes.size == 0:
         return b""
-    return nodes.tobytes() + matrix._packed.tobytes()
+    return nodes.astype(np.int64).tobytes() + block.tobytes()
 
 
 def _gap_payload(matrix) -> bytes:
     """Row node ids + run offsets + concatenated gap runs."""
-    matrix.pack()
-    nodes = matrix._row_nodes
-    runs: List[np.ndarray] = [
-        gap_encode(matrix.rows[int(node)]) for node in nodes
-    ]
-    lengths = np.fromiter(
-        (r.size for r in runs), dtype=np.uint64, count=len(runs)
-    )
-    offsets = np.zeros(len(runs) + 1, dtype=np.uint64)
-    np.cumsum(lengths, out=offsets[1:])
+    encoded = GapEncodedMatrix.from_adjacency(matrix)
     body = (
-        nodes.tobytes()
-        + offsets.tobytes()
-        + (np.concatenate(runs).astype(np.uint32).tobytes() if runs else b"")
+        encoded.nodes.astype(np.int64).tobytes()
+        + encoded.offsets.astype(np.uint64).tobytes()
+        + encoded.runs.astype(np.uint32).tobytes()
     )
     return body + b"\x00" * pad8(len(body))
 
@@ -178,13 +176,14 @@ class SnapshotWriter:
                 (DIRECTION_FORWARD, pair.forward),
                 (DIRECTION_BACKWARD, pair.backward),
             )
-            dense = {d: _dense_payload(m) for d, m in sides}
             gap = {d: _gap_payload(m) for d, m in sides}
-            dense_total = sum(len(p) for p in dense.values())
+            dense_total = sum(_dense_bytes(m) for _, m in sides)
             gap_total = sum(len(p) for p in gap.values())
             cold = gap_total < self.cold_threshold * dense_total
             tiers[label] = "cold" if cold else "hot"
-            chosen = gap if cold else dense
+            chosen = gap if cold else {
+                d: _dense_payload(m) for d, m in sides
+            }
             payload_bytes[label] = sum(len(p) for p in chosen.values())
             dense_sizes[label] = dense_total
             shard = (
@@ -196,7 +195,7 @@ class SnapshotWriter:
                         label_id=label_id,
                         direction=direction,
                         encoding=ENCODING_GAP if cold else ENCODING_DENSE,
-                        n_rows=int(matrix._row_nodes.size),
+                        n_rows=matrix.summary.count(),
                         n_edges=matrix.n_edges,
                         payload_off=0,  # patched below
                         payload_len=len(chosen[direction]),

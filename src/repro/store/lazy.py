@@ -95,23 +95,8 @@ class LazySnapshotStore(TripleStore):
         registry().counter("join_index_fills_total").inc()
 
     def _label_pairs(self, label: str) -> Iterator[Tuple[int, int]]:
-        from repro.bitvec.gap import decode as gap_decode
-        from repro.storage.format import ENCODING_DENSE
-
-        reader = self._reader
-        entry = reader._entry(label, "forward")
-        if entry.encoding == ENCODING_DENSE:
-            matrix = reader.dense_matrix(label, "forward")
-            for node in matrix._row_nodes.tolist():
-                for obj in matrix.rows[node].iter_ones().tolist():
-                    yield (node, obj)
-        else:
-            matrix = reader.gap_matrix(label, "forward")
-            n = reader.n_nodes
-            for node in sorted(matrix._rows):
-                row = gap_decode(matrix._rows[node], n)
-                for obj in row.iter_ones().tolist():
-                    yield (node, obj)
+        subjects, objects = self._reader.adjacency(label, "forward").edges()
+        return zip(subjects.tolist(), objects.tolist())
 
     def _ensure_all(self) -> None:
         for p in range(len(self.predicates)):

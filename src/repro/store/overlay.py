@@ -38,6 +38,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.bitvec import Bitset, LabelMatrixPair
 from repro.errors import GraphError, StoreError
 from repro.graph.database import Literal
@@ -146,7 +148,6 @@ class OverlayGraphView:
         self._n_retracted = 0
         #: Rebuilt pairs of dirty labels (cleared on their mutation).
         self._pairs: Dict[str, LabelMatrixPair] = {}
-        self._batched = None
         self._matrices = OverlayMatrices(self)
         #: Bumped once per mutation batch that changed anything.
         self._epoch = 0
@@ -297,14 +298,11 @@ class OverlayGraphView:
         for label in touched:
             self._label_epoch[label] = self._epoch
             self._pairs.pop(label, None)
-            if self._batched is not None:
-                self._batched.invalidate(label)
         if new_nodes:
-            # The index space grew: every cached pair (and the batched
-            # block, whose bit width is n) is the wrong shape now.
+            # The index space grew: every cached pair is the wrong
+            # width now (rebuilt at the new n on next touch).
             self._node_epoch = self._epoch
             self._pairs.clear()
-            self._batched = None
         if n_add:
             registry().counter("overlay_adds_total").inc(n_add)
         if n_retract:
@@ -324,20 +322,38 @@ class OverlayGraphView:
     # -- dirty-pair rebuild ------------------------------------------------
 
     def _build_pair(self, label: str) -> LabelMatrixPair:
-        pair = LabelMatrixPair(self.n_nodes)
-        retracted = self._retracts.get(label, ())
+        """Base CSR edges minus retractions plus additions, at the
+        current node width."""
+        n = self.n_nodes
+        sources: List[np.ndarray] = []
+        targets: List[np.ndarray] = []
         if label in self._base_labels:
             base_pair = self._base_matrices().get(label)
             if base_pair is not None:
-                rows = base_pair.forward.rows
-                for s in rows:
-                    for d in rows[s].iter_ones().tolist():
-                        if (s, d) not in retracted:
-                            pair.add_edge(s, d)
-        for s, d in self._adds.get(label, ()):
-            pair.add_edge(s, d)
-        pair.pack()
-        return pair
+                base_s, base_d = base_pair.forward.edges()
+                retracted = self._retracts.get(label)
+                if retracted:
+                    gone = np.fromiter(
+                        (s * n + d for s, d in retracted), np.int64,
+                        len(retracted),
+                    )
+                    keep = ~np.isin(base_s * n + base_d, gone)
+                    base_s, base_d = base_s[keep], base_d[keep]
+                sources.append(base_s)
+                targets.append(base_d)
+        added = self._adds.get(label)
+        if added:
+            sources.append(np.fromiter(
+                (s for s, _ in added), np.int64, len(added)
+            ))
+            targets.append(np.fromiter(
+                (d for _, d in added), np.int64, len(added)
+            ))
+        if not sources:
+            return LabelMatrixPair(n)
+        return LabelMatrixPair.from_edges(
+            n, np.concatenate(sources), np.concatenate(targets)
+        )
 
     def _pair_for(self, label: str) -> Optional[LabelMatrixPair]:
         if label not in self._base_labels and not self._adds.get(label):
@@ -382,17 +398,6 @@ class OverlayGraphView:
 
     def label_matrix(self, label: str) -> Optional[LabelMatrixPair]:
         return self._matrices.get(label)
-
-    def batched_blocks(self):
-        """The overlay's own multi-label block set (``batched``
-        kernel) — separate from the base's, because dirty labels'
-        rebuilt pairs must shadow the base rows.  Recreated whenever
-        the node index space grows (the bit width changes)."""
-        if self._batched is None:
-            from repro.bitvec.kernel import BatchedBlockSet
-
-            self._batched = BatchedBlockSet(self.n_nodes)
-        return self._batched
 
     def nodes(self) -> Iterator[Hashable]:
         return chain(self._base_graph.nodes(), iter(self._new_names))
@@ -517,11 +522,10 @@ class OverlayTripleStore(TripleStore):
         by_object: Dict[int, Set[int]] = {}
         pair = self._view.matrices().get(label)
         if pair is not None:
-            rows = pair.forward.rows
-            for s in rows:
-                for o in rows[s].iter_ones().tolist():
-                    by_subject.setdefault(s, set()).add(o)
-                    by_object.setdefault(o, set()).add(s)
+            subjects, objects = pair.forward.edges()
+            for s, o in zip(subjects.tolist(), objects.tolist()):
+                by_subject.setdefault(s, set()).add(o)
+                by_object.setdefault(o, set()).add(s)
         self._pso[p] = by_subject
         self._pos[p] = by_object
         self._filled.add(p)
@@ -687,9 +691,6 @@ class OverlayBackend:
             self._store = OverlayTripleStore(self._view)
         return self._store
 
-    def batched_blocks(self):
-        return self._view.batched_blocks()
-
     @property
     def n_nodes(self) -> int:
         return self._view.n_nodes
@@ -712,13 +713,7 @@ class OverlayBackend:
         self.base.set_residency_budget(budget)
 
     def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        demoted = self.base.enforce_residency_budget(budget)
-        batched = self._view._batched
-        if batched is not None and batched.stale_rows:
-            # Base demotions orphan delegated segments in the
-            # overlay's block too; reclaim them at the same boundary.
-            batched.compact()
-        return demoted
+        return self.base.enforce_residency_budget(budget)
 
     def stats(self) -> Dict[str, object]:
         return {

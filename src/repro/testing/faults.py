@@ -205,58 +205,42 @@ def kernel_fault(
 ) -> Iterator[None]:
     """Make one product kernel fail while it is the active kernel.
 
-    * ``"batched"`` — the hazard-flush of the batched round engine
-      raises;
-    * ``"packed"`` / ``"reference"`` — the label-matrix product
-      raises, but only when :func:`~repro.bitvec.kernel.active_kernel`
-      matches ``kernel`` (both kernels share the entry point, so the
-      injected fault follows the degradation chain instead of
-      poisoning every tier at once).
+    The label-matrix product (every serial solve's entry point) and
+    the flush of the parallel batched engine raise, but only when
+    :func:`~repro.bitvec.kernel.active_kernel` matches ``kernel``, so
+    the injected fault follows the degradation chain instead of
+    poisoning every tier at once.
 
     With ``degrade_on_fault`` enabled the solver falls through to the
     next tier and still answers; a ``"reference"`` fault has no tier
     below it and propagates.
     """
     from repro.bitvec.kernel import KERNELS, active_kernel
+    from repro.bitvec.matrix import LabelMatrixPair
+    from repro.core.batched import _Batch
 
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {KERNELS}"
         )
 
-    def boom():
-        raise error if error is not None else RuntimeError(
-            f"injected {kernel} kernel fault"
-        )
-
-    if kernel == "batched":
-        from repro.core import batched as batched_module
-
-        original = batched_module._Batch.flush
-
-        def patched_flush(self, *call_args, **call_kwargs):
-            boom()
-
-        batched_module._Batch.flush = patched_flush
-        try:
-            yield
-        finally:
-            batched_module._Batch.flush = original
-    else:
-        from repro.bitvec.matrix import LabelMatrixPair
-
-        original = LabelMatrixPair.product
-
-        def patched_product(self, *call_args, **call_kwargs):
+    def faulting(original):
+        def patched(self, *call_args, **call_kwargs):
             if active_kernel() == kernel:
-                boom()
+                raise error if error is not None else RuntimeError(
+                    f"injected {kernel} kernel fault"
+                )
             return original(self, *call_args, **call_kwargs)
 
-        LabelMatrixPair.product = patched_product
-        try:
-            yield
-        finally:
-            LabelMatrixPair.product = original
+        return patched
+
+    product, flush = LabelMatrixPair.product, _Batch.flush
+    LabelMatrixPair.product = faulting(product)
+    _Batch.flush = faulting(flush)
+    try:
+        yield
+    finally:
+        LabelMatrixPair.product, _Batch.flush = product, flush
 
 
 # -- forced preemption ------------------------------------------------------

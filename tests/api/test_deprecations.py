@@ -118,19 +118,6 @@ class TestPipelineStoreKwarg:
         assert not caught
 
 
-class TestKernelEnvVar:
-    def test_env_resolution_warns_once(self, monkeypatch):
-        from repro.api import ExecutionProfile
-
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        caught, _ = _count_deprecations([
-            lambda: ExecutionProfile().resolved_kernel(),
-            lambda: ExecutionProfile().resolved_kernel(),
-        ])
-        assert len(caught) == 1
-        assert "REPRO_KERNEL" in str(caught[0].message)
-
-
 class TestSessionMutationShim:
     """Mutating a GraphDatabase behind an attached session's back is
     the pre-write-API idiom: it still works (the graph accepts the

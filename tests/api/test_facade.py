@@ -352,8 +352,7 @@ class TestFacadeEmitsNoDeprecations:
     """The CI gate: the api package must not route through its own
     deprecation shims."""
 
-    def test_full_session_clean(self, movie_snapshot, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_full_session_clean(self, movie_snapshot):
         from repro._deprecation import reset_deprecation_registry
 
         reset_deprecation_registry()

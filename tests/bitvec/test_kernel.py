@@ -1,4 +1,5 @@
-"""Unit tests for the kernel switch and the packed row layout."""
+"""Unit tests for the kernel switch, the CSR layout, and the batched
+flush."""
 
 import numpy as np
 import pytest
@@ -57,150 +58,129 @@ class TestKernelSwitch:
 
 
 class TestPackedLayout:
-    def test_pack_is_idempotent(self, pair):
-        pair.pack()
-        packed = pair.forward._packed
-        pair.pack()
-        assert pair.forward._packed is packed
+    """The CSR layout every kernel (``packed`` included) runs on."""
 
-    def test_pack_block_shape(self, pair):
-        pair.pack()
-        assert pair.forward._packed.shape == (3, 1)  # rows 0, 3, 5
-        assert pair.backward._packed.shape == (3, 1)  # rows 0, 1, 2
+    def test_build_is_cached_on_graph(self):
+        g = Graph()
+        g.add_edge("x", "l", "y")
+        assert g.matrices() is g.matrices()
+
+    def test_csr_array_shapes(self, pair):
+        forward = pair.forward
+        assert forward._indptr.shape == (7,)  # n + 1 offsets
+        assert forward._indices.shape == (4,)  # one id per edge
+        assert forward._indices.dtype == np.int32
+        assert forward.nbytes == 7 * 8 + 4 * 4
 
     def test_row_index_maps_nodes_to_rows(self, pair):
-        pair.pack()
-        index = pair.forward._row_index
-        for node in (0, 3, 5):
-            assert index[node] >= 0
-            packed_row = pair.forward._packed[index[node]]
-            assert np.array_equal(packed_row, pair.forward.rows[node].words)
-        for node in (1, 2, 4):
-            assert index[node] == -1
+        # indptr is the CSR row index: node -> its range of column ids.
+        expected = {0: [1, 2], 3: [2], 5: [0]}
+        for node in range(6):
+            assert pair.forward.neighbours(node).tolist() == expected.get(
+                node, []
+            )
+        assert pair.backward.neighbours(2).tolist() == [0, 3]
 
     def test_rows_are_views_into_block(self, pair):
-        pair.pack()
-        row = pair.forward.rows[0]
-        assert row.words.base is pair.forward._packed
+        view = pair.forward.neighbours(0)
+        assert view.base is pair.forward._indices
+        assert not view.flags.writeable
 
-    def test_add_after_pack_invalidates(self, pair):
-        pair.pack()
+    def test_add_after_build_updates_csr(self, pair):
+        with use_kernel("reference"):
+            pair.forward.product_rowwise(Bitset.ones(6))  # row dict built
         pair.forward.add(1, 4)
-        assert not pair.forward.is_packed
-        pair.pack()
+        pair.forward.add(1, 4)  # repeats collapse
         assert pair.forward.has_edge(1, 4)
+        assert pair.forward.n_edges == 5
+        assert 1 in pair.forward.summary
+        assert pair.forward.neighbours(1).tolist() == [4]
+        with use_kernel("reference"):
+            assert 4 in pair.forward.product_rowwise(
+                Bitset.from_indices(6, [1])
+            )
 
     def test_graph_matrices_are_packed(self):
         g = Graph()
-        g.add_edge("x", "l", "y")
-        for built in g.matrices().values():
-            assert built.forward.is_packed
-            assert built.backward.is_packed
+        for i in range(100):
+            g.add_edge(i, "l", (i + 1) % 100)
+        pair = g.matrices()["l"]
+        # O(n + |E|) bytes, not O(n^2 / 8) dense rows.
+        assert pair.nbytes == 2 * (101 * 8 + 100 * 4)
 
     def test_summary_falls_out_of_build(self, pair):
-        pair.pack()
         assert (
-            set(pair.forward._row_nodes.tolist())
+            set(pair.forward.row_nodes().tolist())
             == pair.forward.summary.to_set()
         )
 
+    def test_reference_rows_built_only_on_reference_products(self, pair):
+        vec = Bitset.from_indices(6, [0, 3])
+        pair.product(vec, "forward")
+        assert pair.forward._rows is None
+        with use_kernel("reference"):
+            pair.product(vec, "forward")
+        assert pair.forward._rows is not None
 
-class TestBatchedBlockSet:
-    def test_entry_appends_rows_with_offsets(self, pair):
-        from repro.bitvec import BatchedBlockSet
 
-        blocks = BatchedBlockSet(6)
-        fwd = blocks.entry("l", "forward", pair.forward)
-        bwd = blocks.entry("l", "backward", pair.backward)
-        assert fwd.offset == 0
-        assert bwd.offset == fwd.n_rows == 3
-        assert blocks.n_rows == 6
-        assert blocks.n_entries == 2
+class TestDeferredProducts:
+    """A product the parallel batched solver defers (gathered ids, or
+    gathered dual neighbours tagged with their candidates) computes to
+    the per-matrix product."""
+
+    def test_deferred_products_match_matrix_products(self, pair):
+        from repro.core.batched import product_words
+
+        source = Bitset.from_indices(6, [0, 3])
+        row_ids = pair.forward.gather(source.iter_ones())
         assert np.array_equal(
-            blocks.block[fwd.offset : fwd.offset + fwd.n_rows],
-            pair.forward._packed,
+            product_words(6, row_ids),
+            pair.forward.product_rowwise(source).words,
         )
+        owners, ids = pair.backward.gather_pairs(np.arange(6))
         assert np.array_equal(
-            blocks.block[bwd.offset : bwd.offset + bwd.n_rows],
-            pair.backward._packed,
-        )
-
-    def test_entry_is_cached(self, pair):
-        from repro.bitvec import BatchedBlockSet
-
-        blocks = BatchedBlockSet(6)
-        first = blocks.entry("l", "forward", pair.forward)
-        assert blocks.entry("l", "forward", pair.forward) is first
-        assert blocks.n_rows == first.n_rows
-
-    def test_append_does_not_restack_existing_entries(self, pair):
-        from repro.bitvec import BatchedBlockSet
-
-        blocks = BatchedBlockSet(6)
-        fwd = blocks.entry("l", "forward", pair.forward)
-        other = LabelMatrixPair(6)
-        other.add_edge(1, 3)
-        blocks.entry("m", "forward", other.forward)
-        # The first entry's offset and rows are untouched by the
-        # append (growth copies, never re-stacks per label).
-        assert fwd.offset == 0
-        assert np.array_equal(
-            blocks.block[: fwd.n_rows], pair.forward._packed
+            product_words(6, ids, owners, source.words),
+            pair.product(
+                source, "forward", Bitset.ones(6), strategy="column"
+            ).words,
         )
 
-    def test_growth_preserves_content(self):
-        from repro.bitvec import BatchedBlockSet
+    def test_random_deferred_products_match_matrix_products(self):
+        from repro.core.batched import product_words
 
-        blocks = BatchedBlockSet(80)
-        pairs = []
-        for i in range(30):
-            p = LabelMatrixPair(80)
-            for j in range(10):
-                p.add_edge((i + j) % 80, (i * 7 + j) % 80)
-            pairs.append(p)
-            blocks.entry(f"l{i}", "forward", p.forward)
-        for i, p in enumerate(pairs):
-            entry = blocks.entry(f"l{i}", "forward", p.forward)
-            assert np.array_equal(
-                blocks.block[entry.offset : entry.offset + entry.n_rows],
-                p.forward._packed,
+        rng = np.random.default_rng(3)
+        n = 130  # three words, the last one partial
+        for _ in range(30):
+            p = LabelMatrixPair.from_edges(
+                n, rng.integers(0, n, 40), rng.integers(0, n, 40)
             )
-
-    def test_stale_entry_reappended_after_repack(self, pair):
-        from repro.bitvec import BatchedBlockSet
-
-        blocks = BatchedBlockSet(6)
-        first = blocks.entry("l", "forward", pair.forward)
-        pair.forward.add(1, 4)  # invalidates the packed block
-        fresh = blocks.entry("l", "forward", pair.forward)
-        assert fresh is not first
-        assert fresh.offset >= first.offset + first.n_rows
-        assert np.array_equal(
-            blocks.block[fresh.offset : fresh.offset + fresh.n_rows],
-            pair.forward._packed,
-        )
-
-    def test_row_index_is_shared_not_copied(self, pair):
-        from repro.bitvec import BatchedBlockSet
-
-        blocks = BatchedBlockSet(6)
-        entry = blocks.entry("l", "forward", pair.forward)
-        assert entry.row_index is pair.forward._row_index
+            source = Bitset.from_indices(
+                n, rng.choice(n, 9, replace=False)
+            )
+            row_ids = p.forward.gather(source.iter_ones())
+            assert np.array_equal(
+                product_words(n, row_ids),
+                p.product(source, "forward", strategy="row").words,
+            )
+            owners, ids = p.backward.gather_pairs(np.arange(n))
+            assert np.array_equal(
+                product_words(n, ids, owners, source.words),
+                p.product(
+                    source, "forward", Bitset.ones(n), strategy="column"
+                ).words,
+            )
 
 
 class TestGapImportPath:
     def test_roundtrip_to_packed_adjacency(self, pair):
-        pair.pack()
         encoded = GapEncodedMatrix.from_adjacency(pair.forward)
         decoded = encoded.to_adjacency()
-        assert decoded.is_packed
         assert decoded.n_edges == pair.forward.n_edges
         assert decoded.summary == pair.forward.summary
-        for node, row in pair.forward.rows.items():
-            assert decoded.rows[node] == row
+        for node in range(6):
+            assert decoded.row(node) == pair.forward.row(node)
 
     def test_products_agree_after_import(self, pair):
-        pair.pack()
         restored = GapEncodedMatrix.from_adjacency(pair.forward).to_adjacency()
         vec = Bitset.from_indices(6, [0, 3])
         assert restored.product_rowwise(vec) == pair.forward.product_rowwise(

@@ -109,13 +109,12 @@ class _FakeBatch:
 
     def __init__(self):
         self.row_targets = []
-        self.row_positions = []
+        self.row_ids = []
         self.col_targets = []
-        self.col_candidates = []
-        self.col_positions = []
+        self.col_owners = []
+        self.col_ids = []
         self.col_vectors = []
         self.n = 64
-        self.blocks = None
 
 
 class TestThreadFallbacks:
@@ -124,7 +123,7 @@ class TestThreadFallbacks:
 
         batch = _FakeBatch()
         batch.row_targets.append(0)
-        batch.row_positions.append(np.arange(10_000))
+        batch.row_ids.append(np.arange(10_000))
         executor = ThreadFlushExecutor(4, min_rows=0)
         assert executor.compute(batch) is None  # jobs < 2
 
@@ -134,8 +133,8 @@ class TestThreadFallbacks:
         batch = _FakeBatch()
         for target in (0, 1):
             batch.row_targets.append(target)
-            batch.row_positions.append(np.arange(3))
-        executor = ThreadFlushExecutor(4)  # default 4096-row floor
+            batch.row_ids.append(np.arange(3))
+        executor = ThreadFlushExecutor(4)  # default 4096-id floor
         assert executor.compute(batch) is None
 
 

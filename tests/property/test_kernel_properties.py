@@ -1,9 +1,9 @@
 """Property-based tests: every vectorized kernel is bit-identical to
 the reference kernel.
 
-The packed kernel (contiguous row blocks, vectorized products) and
-the batched kernel (whole solver rounds as one gather+reduce over the
-shared multi-label block, with the saturated-source summary shortcut)
+The packed kernel (one vectorized CSR product per inequality) and
+the batched kernel (hazard-free runs of inequalities landed as one bit
+test plus one scatter, with the saturated-source summary shortcut)
 must be indistinguishable from the seed's per-row reference kernel on
 every product — row-wise, column-wise, and auto, forward and
 backward, with and without masks — and on every solver fixpoint,
@@ -143,12 +143,13 @@ def test_solver_fixpoints_bit_identical_across_kernels(
 @given(patterns(), graphs(), st.sampled_from(STRATEGIES))
 @settings(max_examples=40, deadline=None)
 def test_batched_trajectory_matches_packed(pattern, data, product):
-    """The batched engine's hazard flushing preserves not just the
-    fixpoint but the whole evaluation trajectory: identical work
-    counters on every input."""
-    options = SolverOptions(product=product)
-    packed = _solve_on("packed", pattern, data, options)
-    batched = _solve_on("batched", pattern, data, options)
+    """The batched engine's hazard flushing (taken with workers > 1)
+    preserves not just the fixpoint but the whole evaluation
+    trajectory: identical work counters on every input."""
+    packed = _solve_on("packed", pattern, data, SolverOptions(product=product))
+    batched = _solve_on(
+        "batched", pattern, data, SolverOptions(product=product, workers=2)
+    )
     _assert_same_fixpoint(batched, packed)
     assert batched.report.rounds == packed.report.rounds
     assert batched.report.evaluations == packed.report.evaluations
@@ -216,9 +217,8 @@ def string_patterns(draw, max_nodes=4, max_edges=6):
 @settings(max_examples=25, deadline=None)
 def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
     """All three kernels reach the same fixpoint when every label
-    starts cold on disk and is promoted on first touch mid-solve —
-    for the batched kernel that appends freshly decoded rows to the
-    already-populated block set."""
+    starts cold on disk and is promoted on first touch mid-solve,
+    straight from the gap payload to CSR."""
     from repro.storage import TieredGraphView, write_snapshot
 
     options = SolverOptions(product=product)

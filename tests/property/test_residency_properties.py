@@ -8,7 +8,7 @@ label's packed footprint — and all three product kernels:
   and the fixpoint are bit-identical to the unbudgeted run;
 * query answers through the `repro.Database` façade are identical to
   the unbudgeted in-memory session;
-* resident packed bytes fit the budget at every query boundary.
+* resident CSR bytes fit the budget at every query boundary.
 
 Budgets may be transiently exceeded *mid-solve* (the label a product
 needs is protected while resident), which is exactly why the

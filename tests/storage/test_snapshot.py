@@ -154,8 +154,8 @@ class TestReader:
             loaded = reader.dense_matrix("directed", "forward")
             assert loaded.n_edges == pair.forward.n_edges
             assert loaded.summary == pair.forward.summary
-            for node, row in pair.forward.rows.items():
-                assert loaded.rows[node] == row
+            for node in range(db.n_nodes):
+                assert loaded.row(node) == pair.forward.row(node)
 
     def test_gap_matrix_matches_in_memory(self, tmp_path):
         db = example_movie_database()
@@ -166,8 +166,8 @@ class TestReader:
             loaded = reader.gap_matrix("directed", "backward")
             promoted = loaded.to_adjacency()
             assert promoted.n_edges == pair.backward.n_edges
-            for node, row in pair.backward.rows.items():
-                assert promoted.rows[node] == row
+            for node in range(db.n_nodes):
+                assert promoted.row(node) == pair.backward.row(node)
 
     def test_corrupt_row_node_id_raises_snapshot_error(self, tmp_path):
         """Out-of-range node ids in a block must fail as SnapshotError,

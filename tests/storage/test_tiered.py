@@ -100,11 +100,12 @@ class TestPromotion:
         for label, pair in small_lubm.matrices().items():
             loaded = lubm_view.matrices()[label]
             assert loaded.forward.summary == pair.forward.summary
+            assert loaded.backward.summary == pair.backward.summary
             assert loaded.n_edges == pair.n_edges
-            for node, row in pair.forward.rows.items():
-                assert loaded.forward.rows[node] == row
-            for node, row in pair.backward.rows.items():
-                assert loaded.backward.rows[node] == row
+            for node in pair.forward.row_nodes().tolist():
+                assert loaded.forward.row(node) == pair.forward.row(node)
+            for node in pair.backward.row_nodes().tolist():
+                assert loaded.backward.row(node) == pair.backward.row(node)
 
 
 class TestResidency:

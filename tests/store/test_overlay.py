@@ -174,6 +174,36 @@ class TestMergedView:
         assert view.node_name(base_n + 1) == "fresher"
 
 
+    def test_node_growth_rebuilds_csr_at_new_width(self, overlay):
+        """New nodes widen the index space: every label (clean ones
+        too) is rebuilt as CSR at the new width, with the new nodes'
+        rows in place and products agreeing with the reference loops."""
+        from repro.bitvec import Bitset, use_kernel
+
+        base_n = overlay.base.n_nodes
+        overlay.add([("fresh", "directed", "B. De Palma")])
+        view = overlay.graph
+        n = view.n_nodes
+        assert n == base_n + 1
+        for label in sorted(view.labels):
+            pair = view.matrices()[label]
+            assert pair.n == n
+            assert pair.forward.summary.nbits == n
+            assert pair.forward.neighbours(n - 1).size == (
+                1 if label == "directed" else 0
+            )
+        pair = view.matrices()["directed"]
+        fresh = view.node_index("fresh")
+        assert pair.forward.neighbours(fresh).tolist() == [
+            view.node_index("B. De Palma")
+        ]
+        for vec in (Bitset.ones(n), Bitset.singleton(n, fresh)):
+            for direction in ("forward", "backward"):
+                with use_kernel("reference"):
+                    want = pair.product(vec, direction)
+                assert pair.product(vec, direction) == want
+
+
 class TestOverlayTripleStore:
     def test_store_matches_flat_store(self, overlay):
         overlay.add([("X", "directed", "Y")])
@@ -247,7 +277,5 @@ class TestBackendSurface:
 
 
 def _edges(pair):
-    rows = pair.forward.rows
-    for s in rows:
-        for d in rows[s].iter_ones().tolist():
-            yield (s, d)
+    sources, targets = pair.forward.edges()
+    return zip(sources.tolist(), targets.tolist())
